@@ -134,13 +134,17 @@ class SmartConfigAgent:
 
     # -- impact ranking ------------------------------------------------------------
 
-    def set_impact_scores(self, scores: Sequence[float]) -> None:
-        """Install offline-trained impact scores (sum-normalised)."""
-        arr = np.asarray(scores, dtype=float)
+    def _checked_scores(self, scores: Sequence[float]) -> np.ndarray:
+        arr = np.array(scores, dtype=float)
         if arr.shape != (len(self.space),):
             raise ValueError("scores must have one entry per parameter")
         if np.any(arr < 0) or arr.sum() <= 0:
             raise ValueError("scores must be non-negative and not all zero")
+        return arr
+
+    def set_impact_scores(self, scores: Sequence[float]) -> None:
+        """Install offline-trained impact scores (sum-normalised)."""
+        arr = self._checked_scores(scores)
         self.impact_scores = arr / arr.sum()
 
     def ranked_parameters(self) -> tuple[str, ...]:
@@ -247,7 +251,9 @@ class SmartConfigAgent:
         return out
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        self.set_impact_scores(state["impact_scores"])
+        # Checkpointed scores are already normalised: installed verbatim,
+        # since dividing by their sum again can move a score by an ulp.
+        self.impact_scores = self._checked_scores(state["impact_scores"])
         picker = {k[len("picker_"):]: v for k, v in state.items() if k.startswith("picker_")}
         observer = {k[len("observer_"):]: v for k, v in state.items() if k.startswith("observer_")}
         if picker:

@@ -73,8 +73,8 @@ DISK_SCHEMA_VERSION = 2
 
 _SUFFIX = ".npz"
 
-#: Per-process counter making concurrent temp-file names unique even
-#: within one process (thread-pooled stores).
+#: Per-process counter making temp-file names unique within one process
+#: (the pid in the name separates processes sharing a cache directory).
 _TMP_COUNTER = itertools.count()
 
 

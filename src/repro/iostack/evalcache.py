@@ -145,9 +145,6 @@ class EvaluationStats:
     #: Configurations that exhausted their retries and were assigned the
     #: worst-case fitness instead of crashing the generation.
     quarantined: int = 0
-    #: Thread-pool batches that fell back to serial trace building after
-    #: a worker raised.
-    fallbacks: int = 0
     #: Faults the plan injected (transient errors + stragglers).
     faults_injected: int = 0
     #: Agent guardrail trips recorded during the run (weight corruption,
@@ -181,7 +178,6 @@ class EvaluationStats:
             self.retries
             or self.timeouts
             or self.quarantined
-            or self.fallbacks
             or self.faults_injected
         )
 
@@ -212,7 +208,7 @@ class EvaluationStats:
         return (
             f"{self.faults_injected} faults injected, "
             f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.quarantined} quarantined, {self.fallbacks} serial fallbacks"
+            f"{self.quarantined} quarantined"
         )
 
     def as_dict(self) -> dict[str, int]:

@@ -16,7 +16,7 @@ Fault taxonomy
   :class:`TransientFaultError` with probability ``transient_error_rate``.
   The decision is drawn per ``(config, attempt)``, so a retry of the same
   configuration sees an independent draw and the schedule does not depend
-  on thread timing.
+  on the order in which configurations are built.
 * **Latency stragglers** -- a replayed run's service times are inflated
   by ``straggler_slowdown`` with probability ``straggler_rate`` (an
   evaluation that lands on a slow OST or a congested router).  Stragglers

@@ -150,7 +150,6 @@ class MetricsRegistry:
         c("resilience.retries").inc(stats.retries)
         c("resilience.timeouts").inc(stats.timeouts)
         c("resilience.quarantined").inc(stats.quarantined)
-        c("resilience.fallbacks").inc(stats.fallbacks)
         c("faults.injected").inc(stats.faults_injected)
         c("guardrail.trips").inc(stats.guardrail_trips)
         self.gauge("cache.hit_rate").set(stats.cache_hit_rate)
@@ -239,8 +238,7 @@ def resilience_line(snapshot: Mapping[str, Any]) -> str:
         f"{int(c.get('faults.injected', 0))} faults injected, "
         f"{int(c.get('resilience.retries', 0))} retries, "
         f"{int(c.get('resilience.timeouts', 0))} timeouts, "
-        f"{int(c.get('resilience.quarantined', 0))} quarantined, "
-        f"{int(c.get('resilience.fallbacks', 0))} serial fallbacks"
+        f"{int(c.get('resilience.quarantined', 0))} quarantined"
     )
 
 
@@ -264,6 +262,5 @@ def snapshot_degraded(snapshot: Mapping[str, Any]) -> bool:
         c.get("resilience.retries", 0)
         or c.get("resilience.timeouts", 0)
         or c.get("resilience.quarantined", 0)
-        or c.get("resilience.fallbacks", 0)
         or c.get("faults.injected", 0)
     )

@@ -19,12 +19,11 @@ Evaluations ride the simulator's trace/replay fastpath and, when a
 configurations (elites re-drawn by crossover, duplicate genomes, the
 default baseline) skip the stack traversal entirely.  Each generation is
 additionally dispatched as one batch: noise factors are pre-drawn in
-population order, traces are deduplicated per distinct genome (and
-optionally built by a thread pool), then every individual replays its
-own factor slice.  All of this is bit-identical to the naive
-per-individual, per-repeat loop -- same fitnesses, same noise-stream
-consumption, same clock charges -- the fastpath only removes redundant
-deterministic work.  :attr:`TuningResult.eval_stats` records what was
+population order, traces are built once per distinct genome, then every
+individual replays its own factor slice.  All of this is bit-identical
+to the naive per-individual, per-repeat loop -- same fitnesses, same
+noise-stream consumption, same clock charges -- the fastpath only
+removes redundant deterministic work.  :attr:`TuningResult.eval_stats` records what was
 saved.
 
 Resilience
@@ -34,10 +33,10 @@ Every evaluation flows through a
 (injected faults, timeouts, non-finite measurements) are retried with
 simulated-clock-charged exponential backoff, configurations that exhaust
 their retries are quarantined at the worst-case fitness instead of
-crashing the generation, and a thread-pool batch whose worker raises
-falls back to serial trace building with the failing genome preserved in
-the exception chain.  With nothing failing, the harness performs exactly
-the calls the bare fastpath would -- results stay bit-identical.
+crashing the generation, and any other exception is re-raised with the
+failing configuration's repr attached.  With nothing failing, the
+harness performs exactly the calls the bare fastpath would -- results
+stay bit-identical.
 
 Journaling
 ----------
@@ -50,7 +49,6 @@ bit-identically (see :mod:`repro.tuners.journal`).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,7 +65,6 @@ from repro.ga import (
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
 from repro.iostack.evalcache import EvaluationCache, EvaluationStats
-from repro.iostack.faults import EvaluationError
 from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, StackTrace, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
@@ -90,26 +87,6 @@ __all__ = ["HSTuner"]
 #: Attempts at perturbing the seed genome before accepting a duplicate
 #: (only a degenerate space -- all cardinalities 1 -- exhausts this).
 _MAX_PERTURBATION_ATTEMPTS = 16
-
-#: Per-process state of the trace-building pool workers (shipped once
-#: via the initializer instead of pickled per task).
-_POOL_SIMULATOR: IOStackSimulator | None = None
-_POOL_WORKLOAD: WorkloadLike | None = None
-
-
-def _trace_pool_init(simulator: IOStackSimulator, workload: WorkloadLike) -> None:
-    global _POOL_SIMULATOR, _POOL_WORKLOAD
-    _POOL_SIMULATOR = simulator
-    _POOL_WORKLOAD = workload
-
-
-def _trace_pool_job(config: StackConfiguration) -> StackTrace:
-    """Build one trace in a pool worker.  ``trace()`` is a pure
-    function of (platform, workload, config) -- it draws no RNG -- so
-    the result is bit-identical to a parent-process build."""
-    assert _POOL_SIMULATOR is not None and _POOL_WORKLOAD is not None
-    return _POOL_SIMULATOR.trace(_POOL_WORKLOAD, config)
-
 
 class HSTuner(Tuner):
     """GA-based I/O stack tuner (the paper's baseline pipeline).
@@ -139,25 +116,6 @@ class HSTuner(Tuner):
         Dispatch each generation through the toolbox's ``evaluate_batch``
         entry (deduplicates traces within the generation); results are
         bit-identical to per-individual evaluation.
-    workers:
-        Size of the *process* pool building missing traces inside a
-        batch; ``None``, ``0`` or ``1`` (default) build serially and
-        ``N >= 2`` opts in.  Trace construction draws no RNG, so pooled
-        builds are bit-identical to serial ones (the parent is credited
-        with the traversals for stats purposes).  Automatically falls
-        back to serial when a fault plan is attached -- fault decisions
-        must be drawn from the parent's schedule -- or when the pool
-        itself breaks.
-    batch_workers:
-        Deprecated alias kept for the legacy *thread* pool; use
-        ``workers`` instead.  Determinism is unaffected either way
-        (noise factors are pre-drawn in population order).
-    dedupe_duplicates:
-        Forwarded to :class:`~repro.ga.engine.EvolutionEngine`: share one
-        fitness among identical genomes of a generation.  Off by default
-        because it changes noise and clock accounting for stochastic
-        evaluations (the trace-level dedupe above already removes the
-        redundant work without that side effect).
     retry_policy:
         How evaluation failures are retried/timed-out/quarantined; see
         :class:`~repro.tuners.resilience.RetryPolicy`.  The default
@@ -201,28 +159,11 @@ class HSTuner(Tuner):
         rng: np.random.Generator | None = None,
         cache: EvaluationCache | None = None,
         batch_evaluation: bool = True,
-        workers: int | None = None,
-        batch_workers: int | None = None,
-        dedupe_duplicates: bool = False,
         retry_policy: RetryPolicy | None = None,
         constraints: ConstraintRegistry | None = None,
         seed_config: StackConfiguration | None = None,
         recorder: Recorder | None = None,
     ):
-        if workers is not None and workers < 0:
-            raise ValueError(
-                "workers must be >= 0 (or None for serial; >= 2 uses a "
-                "process pool)"
-            )
-        if batch_workers is not None:
-            warnings.warn(
-                "batch_workers (thread pool) is deprecated; use workers "
-                "(process pool) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if batch_workers < 1:
-                raise ValueError("batch_workers must be >= 1 (or None for serial)")
         if seed_config is not None and seed_config.space != space:
             raise ValueError(
                 "seed_config belongs to a different parameter space than the tuner"
@@ -242,9 +183,6 @@ class HSTuner(Tuner):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.cache = cache
         self.batch_evaluation = batch_evaluation
-        self.workers = workers
-        self.batch_workers = batch_workers
-        self.dedupe_duplicates = dedupe_duplicates
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.constraints = constraints
         self.seed_config = seed_config
@@ -252,10 +190,10 @@ class HSTuner(Tuner):
         self.clock = SimulatedClock()
         self._active_subset_size: int | None = None
         self._n_evaluations = 0
-        self._stats_base: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
-        self._disk_base: tuple[int, int, int] = (0, 0, 0)
-        self._faults_base = 0
-        self._prewarm: tuple[int, int, int] = (0, 0, 0)
+        #: Live counters at the start of the run's stats window (see
+        #: :meth:`_live_counters`) and the journal-resume warming totals.
+        self._window_base: dict[str, int] = {}
+        self._prewarm: dict[str, int] = {}
         #: Iteration the trace's evaluation events belong to (None before
         #: the first generation, i.e. during the baseline).
         self._trace_iteration: int | None = None
@@ -308,15 +246,6 @@ class HSTuner(Tuner):
 
     # -- per-generation warning summaries -----------------------------------
 
-    def _resilience_counts(self) -> dict[str, int]:
-        s = self._resilient.stats
-        return {
-            "retries": s.retries,
-            "timeouts": s.timeouts,
-            "quarantined": s.quarantined,
-            "fallbacks": s.fallbacks,
-        }
-
     def _warn_generation_events(
         self, iteration: int, before: dict[str, int]
     ) -> None:
@@ -324,7 +253,7 @@ class HSTuner(Tuner):
         of one line per retried evaluation) plus any queued guardrail
         warnings -- each trip kind surfaces once per run, not once per
         decision."""
-        after = self._resilience_counts()
+        after = self._resilient.stats.as_dict()
         parts = [
             f"{after[key] - before[key]} {key}"
             for key in after
@@ -469,7 +398,6 @@ class HSTuner(Tuner):
             population_size=self.population_size,
             n_elites=self.n_elites,
             rng=self.rng,
-            dedupe_duplicates=self.dedupe_duplicates,
         )
 
         # Preserved so a session can resume later (interactive refinement).
@@ -540,7 +468,7 @@ class HSTuner(Tuner):
                 # Replay just ran dry: the next generation goes live.
                 self._warm_cache_from_journal()
                 self._replay_warmed = True
-            resilience_before = self._resilience_counts()
+            resilience_before = self._resilient.stats.as_dict()
             stats = engine.step()
             replayed = self._replay_record is not None
             if self._replay_record is not None:
@@ -741,8 +669,7 @@ class HSTuner(Tuner):
         configs = [StackConfiguration.default(self.space)] + [
             StackConfiguration.from_genome(self.space, genome) for genome in genomes
         ]
-        hits0, misses0 = cache.hits, cache.misses
-        evictions0, built0 = cache.evictions, self.simulator.traces_built
+        before = self._live_counters()
         faults, self.simulator.faults = self.simulator.faults, None
         # Warming lookups are not run cache activity: mute the cache's
         # per-op trace events for the duration (one summary event below).
@@ -762,26 +689,21 @@ class HSTuner(Tuner):
         finally:
             self.simulator.faults = faults
             cache.recorder = cache_recorder
-        d_hits = cache.hits - hits0
-        d_misses = cache.misses - misses0
-        d_evictions = cache.evictions - evictions0
-        d_built = self.simulator.traces_built - built0
-        self._prewarm = (d_hits + d_misses, d_hits, d_built)
         # Exclude the warming deltas from the run's stats window.
-        built_b, replays_b, hits_b, misses_b, evict_b = self._stats_base
-        self._stats_base = (
-            built_b + d_built,
-            replays_b,
-            hits_b + d_hits,
-            misses_b + d_misses,
-            evict_b + d_evictions,
-        )
+        delta = {k: v - before[k] for k, v in self._live_counters().items()}
+        for key, value in delta.items():
+            self._window_base[key] += value
+        self._prewarm = {
+            "prewarm_lookups": delta["cache_hits"] + delta["cache_misses"],
+            "prewarm_hits": delta["cache_hits"],
+            "prewarm_builds": delta["traces_built"],
+        }
         if self.recorder.enabled:
             self.recorder.emit(
                 "cache_prewarm",
-                lookups=d_hits + d_misses,
-                hits=d_hits,
-                builds=d_built,
+                lookups=self._prewarm["prewarm_lookups"],
+                hits=self._prewarm["prewarm_hits"],
+                builds=self._prewarm["prewarm_builds"],
             )
 
     # -- evaluation ---------------------------------------------------------------
@@ -837,234 +759,84 @@ class HSTuner(Tuner):
         self, workload: WorkloadLike, configs: Sequence[StackConfiguration]
     ) -> list[StackTrace | None]:
         """One trace per config (``None`` for quarantined ones), built
-        once per distinct configuration -- through the cache when
-        attached, a process pool (``workers``) or the deprecated thread
-        pool (``batch_workers``) when asked.
-
-        Pool workers perform one bare attempt each; any worker failure
-        routes that configuration through the serial resilient path,
-        which retries transient faults with backoff and wraps unexpected
-        exceptions with the failing configuration's repr (so a raw
-        worker traceback can never lose which genome failed).  The
-        process pool is skipped entirely under an active fault plan:
-        fault decisions must be drawn from the parent's schedule.
-        """
-        order: list[StackConfiguration] = []
-        index: dict[StackConfiguration, int] = {}
-        for config in configs:
-            if config not in index:
-                index[config] = len(order)
-                order.append(config)
-
-        traces: list[StackTrace | None] = [None] * len(order)
-        missing: list[int] = []
-        for j, config in enumerate(order):
+        once per distinct configuration: every distinct configuration is
+        looked up in the cache (when attached) first, then the missing
+        ones are built in order through the resilient harness, which
+        retries transient faults and wraps unexpected exceptions with
+        the failing configuration's repr."""
+        traces: dict[StackConfiguration, StackTrace | None] = {}
+        missing: list[StackConfiguration] = []
+        for config in dict.fromkeys(configs):
             if self._resilient.is_quarantined(config):
-                continue  # stays None: served worst-case downstream
-            cached = (
+                traces[config] = None  # served worst-case downstream
+                continue
+            traces[config] = (
                 self.cache.lookup_trace(self.simulator, workload, config)
                 if self.cache is not None
                 else None
             )
-            if cached is None:
-                missing.append(j)
-            else:
-                traces[j] = cached
-
-        if not missing:
-            return [traces[index[config]] for config in configs]
-
-        serial: list[tuple[int, int]] = []  # (order index, prior failed attempts)
-        use_process_pool = (
-            self.workers is not None
-            and self.workers >= 2
-            and len(missing) > 1
-            # Fault decisions are drawn from the parent's schedule; a
-            # worker process would consume a *copy* of the fault stream,
-            # so fault-injected runs always build serially.
-            and self.simulator.faults is None
-        )
-        if use_process_pool:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(missing)),
-                    initializer=_trace_pool_init,
-                    initargs=(self.simulator, workload),
-                ) as pool:
-                    futures = {
-                        j: pool.submit(_trace_pool_job, order[j]) for j in missing
-                    }
-                    for j, future in futures.items():
-                        exc = future.exception()
-                        if exc is None:
-                            traces[j] = future.result()
-                            # The traversal happened in a worker; credit
-                            # it here so eval_stats match a serial run.
-                            self.simulator.traces_built += 1
-                            if self.cache is not None:
-                                self.cache.store_trace(
-                                    self.simulator, workload, order[j], traces[j]
-                                )
-                        else:
-                            self._resilient.stats.fallbacks += 1
-                            serial.append((j, 0))
-            except Exception:
-                # The pool itself broke (spawn failure, pickling issue):
-                # everything unbuilt falls back to the serial path.
-                already = {j for j, _ in serial}
-                extra = [
-                    j for j in missing if traces[j] is None and j not in already
-                ]
-                self._resilient.stats.fallbacks += len(extra)
-                serial.extend((j, 0) for j in extra)
-        elif self.batch_workers is not None and len(missing) > 1:
-            with ThreadPoolExecutor(max_workers=self.batch_workers) as pool:
-                futures = {
-                    j: pool.submit(self.simulator.trace, workload, order[j])
-                    for j in missing
-                }
-            for j, future in futures.items():
-                exc = future.exception()
-                if exc is None:
-                    traces[j] = future.result()
-                    if self.cache is not None:
-                        self.cache.store_trace(
-                            self.simulator, workload, order[j], traces[j]
-                        )
-                elif isinstance(exc, EvaluationError):
-                    # The worker's attempt counts against the retry
-                    # budget; the serial path takes over from attempt 1
-                    # (or quarantines immediately when retries are off).
-                    if self.retry_policy.max_retries >= 1:
-                        self._resilient.stats.retries += 1
-                        self._resilient._charge_failed_attempt(0, charge=True)
-                        serial.append((j, 1))
-                    else:
-                        self._resilient._quarantine(order[j], exc)
-                else:
-                    # A genuine bug in a worker: fall back to serial for
-                    # this genome so the failure (if it reproduces) is
-                    # raised with the config repr attached.
-                    self._resilient.stats.fallbacks += 1
-                    serial.append((j, 0))
-        else:
-            serial = [(j, 0) for j in missing]
-
-        for j, failed_attempts in serial:
-            traces[j] = self._resilient.build_trace(
-                workload,
-                order[j],
-                charge=True,
-                failed_attempts=failed_attempts,
-                check_cache=False,
+            if traces[config] is None:
+                missing.append(config)
+        for config in missing:
+            traces[config] = self._resilient.build_trace(
+                workload, config, charge=True, check_cache=False
             )
-
-        return [traces[index[config]] for config in configs]
+        return [traces[config] for config in configs]
 
     # -- fastpath accounting ----------------------------------------------------
 
-    def _disk_counters(self) -> tuple[int, int, int]:
-        """Live (hits, misses, stores) of the cache's persistent
-        backend; zeros without one."""
-        backend = self.cache.backend if self.cache is not None else None
-        if backend is None:
-            return (0, 0, 0)
-        return (backend.hits, backend.misses, backend.stores)
+    def _live_counters(self) -> dict[str, int]:
+        """Live values of the counters a run's stats window covers,
+        keyed like the journal's ``fastpath`` dict and the
+        :class:`EvaluationStats` fields they become."""
+        cache = self.cache
+        backend = cache.backend if cache is not None else None
+        faults = self.simulator.faults
+        return {
+            "traces_built": self.simulator.traces_built,
+            "trace_replays": self.simulator.trace_replays,
+            "cache_hits": cache.hits if cache else 0,
+            "cache_misses": cache.misses if cache else 0,
+            "cache_evictions": cache.evictions if cache else 0,
+            "disk_hits": backend.hits if backend else 0,
+            "disk_misses": backend.misses if backend else 0,
+            "disk_stores": backend.stores if backend else 0,
+            "faults_injected": (
+                faults.transient_errors_injected + faults.stragglers_injected
+                if faults is not None
+                else 0
+            ),
+        }
 
     def _begin_stats_window(self) -> None:
         self._n_evaluations = 0
-        self._prewarm = (0, 0, 0)
-        cache = self.cache
-        faults = self.simulator.faults
-        self._stats_base = (
-            self.simulator.traces_built,
-            self.simulator.trace_replays,
-            cache.hits if cache else 0,
-            cache.misses if cache else 0,
-            cache.evictions if cache else 0,
-        )
-        self._disk_base = self._disk_counters()
-        self._faults_base = (
-            faults.transient_errors_injected + faults.stragglers_injected
-            if faults is not None
-            else 0
-        )
+        self._prewarm = {}
+        self._window_base = self._live_counters()
 
     def _fastpath_window(self) -> dict[str, int]:
-        """The run-relative fastpath counters (current minus the window
-        base), journaled at every record boundary so resume can restore
-        them."""
-        built0, replays0, hits0, misses0, evict0 = self._stats_base
-        dhits0, dmisses0, dstores0 = self._disk_base
-        dhits, dmisses, dstores = self._disk_counters()
-        cache = self.cache
-        return {
-            "traces_built": self.simulator.traces_built - built0,
-            "trace_replays": self.simulator.trace_replays - replays0,
-            "cache_hits": (cache.hits - hits0) if cache else 0,
-            "cache_misses": (cache.misses - misses0) if cache else 0,
-            "cache_evictions": (cache.evictions - evict0) if cache else 0,
-            "disk_hits": dhits - dhits0,
-            "disk_misses": dmisses - dmisses0,
-            "disk_stores": dstores - dstores0,
-        }
+        """The run-relative counters (live minus the window base),
+        journaled at every record boundary so resume can restore them."""
+        live = self._live_counters()
+        return {key: live[key] - base for key, base in self._window_base.items()}
 
     def _restore_fastpath_window(self, window: Mapping[str, int]) -> None:
         """Re-base the stats window so the run-relative counters equal a
         journaled record's ``fastpath`` dict.  Replayed generations skip
         the simulator entirely, so without this a resumed run would
         report zeros for everything the journaled generations did --
-        including a deflated ``cache_hit_rate``.  Empty dicts (journals
-        from older builds) are left alone: replay behaves as before."""
-        if not window:
-            return
-        cache = self.cache
-        self._stats_base = (
-            self.simulator.traces_built - int(window.get("traces_built", 0)),
-            self.simulator.trace_replays - int(window.get("trace_replays", 0)),
-            (cache.hits if cache else 0) - int(window.get("cache_hits", 0)),
-            (cache.misses if cache else 0) - int(window.get("cache_misses", 0)),
-            (cache.evictions if cache else 0) - int(window.get("cache_evictions", 0)),
-        )
-        dhits, dmisses, dstores = self._disk_counters()
-        self._disk_base = (
-            dhits - int(window.get("disk_hits", 0)),
-            dmisses - int(window.get("disk_misses", 0)),
-            dstores - int(window.get("disk_stores", 0)),
-        )
+        including a deflated ``cache_hit_rate``.  Counters a journal
+        does not carry (all of them in journals from older builds) keep
+        their base."""
+        live = self._live_counters()
+        for key, value in window.items():
+            if key in live:
+                self._window_base[key] = live[key] - int(value)
 
     def _collect_stats(self) -> EvaluationStats:
-        built0, replays0, hits0, misses0, evict0 = self._stats_base
-        cache = self.cache
-        faults = self.simulator.faults
-        injected = (
-            faults.transient_errors_injected
-            + faults.stragglers_injected
-            - self._faults_base
-            if faults is not None
-            else 0
-        )
-        resilience = self._resilient.stats
-        prewarm_lookups, prewarm_hits, prewarm_builds = self._prewarm
-        dhits0, dmisses0, dstores0 = self._disk_base
-        dhits, dmisses, dstores = self._disk_counters()
         return EvaluationStats(
             evaluations=self._n_evaluations,
-            cache_hits=(cache.hits - hits0) if cache else 0,
-            cache_misses=(cache.misses - misses0) if cache else 0,
-            cache_evictions=(cache.evictions - evict0) if cache else 0,
-            traces_built=self.simulator.traces_built - built0,
-            trace_replays=self.simulator.trace_replays - replays0,
-            retries=resilience.retries,
-            timeouts=resilience.timeouts,
-            quarantined=resilience.quarantined,
-            fallbacks=resilience.fallbacks,
-            faults_injected=injected,
+            **self._fastpath_window(),
+            **self._resilient.stats.as_dict(),
             guardrail_trips=self._guardrail_trip_count(),
-            prewarm_lookups=prewarm_lookups,
-            prewarm_hits=prewarm_hits,
-            prewarm_builds=prewarm_builds,
-            disk_hits=dhits - dhits0,
-            disk_misses=dmisses - dmisses0,
-            disk_stores=dstores - dstores0,
+            **self._prewarm,
         )

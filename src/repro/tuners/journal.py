@@ -83,10 +83,10 @@ class BaselineRecord:
     n_evaluations: int
     fault_state: dict[str, Any] | None = None
     #: Run-relative fastpath counters (cache hits/misses/evictions,
-    #: traces built/replayed) at this record's boundary.  Restored on
-    #: replay so a resumed run's :class:`EvaluationStats` match the
-    #: uninterrupted run's; empty in journals from older builds (replay
-    #: then skips the restore, as before).
+    #: traces built/replayed, disk-cache activity, injected faults) at
+    #: this record's boundary.  Restored on replay so a resumed run's
+    #: :class:`EvaluationStats` match the uninterrupted run's; counters
+    #: a journal from an older build lacks keep their window base.
     fastpath: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:

@@ -136,6 +136,47 @@ def test_journal_then_resume_reproduces_the_run(tmp_path, capsys):
     assert history(resumed_out) == history(full_out)
 
 
+@pytest.mark.faults
+def test_journal_from_an_older_build_resumes_bit_identically(tmp_path, capsys):
+    """Journals written before the in-run trace pools were removed record
+    ``workers``/``batch_workers`` among the header args, a ``fallbacks``
+    counter in every ``resilience`` dict and no ``faults_injected`` in the
+    ``fastpath`` dicts.  They still resume, and the records the resumed
+    run appends are byte-identical to the uninterrupted run's."""
+    journal = tmp_path / "t.journal"
+    assert main([
+        "ior", "--tuner", "hstuner", "--iterations", "4", "--seed", "3",
+        "--fault-rate", "0.15", "--journal", str(journal),
+    ]) == 0
+    full_out = capsys.readouterr().out
+    full_lines = open(journal).readlines()
+
+    def legacy(line):
+        record = json.loads(line)
+        if record["type"] == "header":
+            record["args"].update(workers=2, batch_workers=None)
+        if "resilience" in record:
+            record["resilience"]["fallbacks"] = 0
+        if "fastpath" in record:
+            record["fastpath"].pop("faults_injected")
+        return json.dumps(record) + "\n"
+
+    # kill after two generations: header, baseline, gen0, gen1 + torn tail
+    old = [legacy(line) for line in full_lines[:4]]
+    cut = tmp_path / "cut.journal"
+    cut.write_text("".join(old) + full_lines[4][:25])
+
+    assert main(["resume", str(cut)]) == 0
+    resumed_out = capsys.readouterr().out
+    assert open(cut).read() == "".join(old + full_lines[4:])
+
+    def history(text):
+        return [l for l in text.splitlines() if l.startswith(
+            ("baseline", "iter", "final", "resilience", "fastpath"))]
+
+    assert history(resumed_out) == history(full_out)
+
+
 def test_resume_of_completed_journal_is_refused(tmp_path, capsys):
     journal = tmp_path / "t.journal"
     assert main([
@@ -207,6 +248,32 @@ def test_report_reconstructs_the_run_from_the_trace(tmp_path, capsys):
 
 
 @pytest.mark.observability
+def test_report_rebuilds_a_trace_with_retired_counters(tmp_path, capsys):
+    """Traces from older builds carry a ``fallbacks`` counter in their
+    ``run_end.eval_stats``; tunio-report still rebuilds the run."""
+    from repro.observability.report import main as report_main
+
+    trace = tmp_path / "run.jsonl"
+    assert main([
+        "ior", "--tuner", "hstuner", "--iterations", "3", "--seed", "3",
+        "--trace-out", str(trace),
+    ]) == 0
+    live = capsys.readouterr().out
+    events = [json.loads(line) for line in open(trace)]
+    assert events[-1]["event"] == "run_end"
+    events[-1]["eval_stats"]["fallbacks"] = 0
+    trace.write_text("".join(json.dumps(e) + "\n" for e in events))
+    assert report_main([str(trace)]) == 0
+    report = capsys.readouterr().out
+
+    def summary(text):
+        return [l for l in text.splitlines() if l.startswith(
+            ("baseline", "iter", "final", "fastpath", "resilience"))]
+
+    assert summary(report) == summary(live)
+
+
+@pytest.mark.observability
 def test_resume_traces_the_whole_run(tmp_path, capsys):
     """A resume trace re-emits replayed generations, so tunio-report on
     it sees the complete run."""
@@ -256,8 +323,8 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
     "flags",
     [
         ["--iterations", "0"],
-        ["--batch-workers", "-3"],
-        ["--batch-workers", "0"],
+        ["--retry-backoff", "-1"],
+        ["--eval-timeout", "0"],
         ["--max-retries", "-1"],
         ["--fault-agent-at", "-2", "--fault-agent", "nan-weights"],
         ["--fault-agent", "checkpoint-truncation"],  # needs --agents-cache
@@ -275,37 +342,12 @@ def test_contradictory_flags_rejected_with_usage_error(flags):
 @pytest.mark.offline_fastpath
 @pytest.mark.parametrize(
     "flags",
-    [
-        ["--workers", "-1"],
-        ["--workers", "-3"],
-        ["--cache-dir", "/tmp/x", "--no-eval-cache"],
-    ],
+    [["--cache-dir", "/tmp/x", "--no-eval-cache"]],
 )
 def test_bad_fastpath_flags_exit_2(flags):
     with pytest.raises(SystemExit) as err:
         main(["ior", *flags])
     assert err.value.code == 2
-
-
-@pytest.mark.offline_fastpath
-def test_batch_workers_flag_is_deprecated(capsys):
-    assert main([
-        "flash", "--tuner", "hstuner", "--iterations", "2", "--seed", "1",
-        "--batch-workers", "2",
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err and "--workers" in captured.err
-    assert "final:" in captured.out
-
-
-@pytest.mark.offline_fastpath
-def test_workers_flag_is_result_transparent(capsys):
-    argv = ["flash", "--tuner", "hstuner", "--iterations", "3", "--seed", "3"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main([*argv, "--workers", "2"]) == 0
-    pooled = capsys.readouterr().out
-    assert pooled == serial  # bit-identical, fastpath line included
 
 
 @pytest.mark.offline_fastpath

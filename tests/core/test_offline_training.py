@@ -67,8 +67,8 @@ def test_save_load_roundtrip(tmp_path, trained_bundle):
     path = tmp_path / "agents.npz"
     save_agents(agents, path)
     restored = load_agents(path, normalizer)
-    assert np.allclose(restored.impact_scores, agents.impact_scores)
-    assert np.allclose(
+    assert np.array_equal(restored.impact_scores, agents.impact_scores)
+    assert np.array_equal(
         restored.smart_config.impact_scores, agents.smart_config.impact_scores
     )
     v = list(np.linspace(0.1, 1.0, 30))

@@ -102,6 +102,25 @@ def test_state_roundtrip(agent, rng):
     )
 
 
+def test_set_state_installs_checkpointed_scores_verbatim(agent, rng):
+    """A checkpoint round trip must not re-normalise: dividing these
+    sum-normalised scores by their sum again moves them by an ulp."""
+    scores = np.arange(1, 13, dtype=float) / 78.0
+    assert not np.array_equal(scores, scores / scores.sum())
+    state = {**agent.get_state(), "impact_scores": scores}
+    other = SmartConfigAgent(normalizer=agent.normalizer, rng=rng)
+    other.set_state(state)
+    assert np.array_equal(other.impact_scores, scores)
+    assert other.impact_scores is not scores  # a copy, not an alias
+
+
+def test_set_state_validates_scores(agent, rng):
+    state = agent.get_state()
+    for bad in (np.ones(5), np.zeros(12), -np.ones(12)):
+        with pytest.raises(ValueError):
+            agent.set_state({**state, "impact_scores": bad})
+
+
 def test_no_normalizer_falls_back(rng):
     agent = SmartConfigAgent(rng=rng)
     subset = agent.subset_picker(1000.0, None, iteration=0)

@@ -101,7 +101,8 @@ def test_transient_schedule_is_per_config():
 
 def test_transient_schedule_is_thread_order_independent():
     """The decision for (config, attempt) must not depend on which
-    thread got there first -- batch evaluation uses a thread pool."""
+    caller got there first: it is keyed by (seed, config digest,
+    attempt), never by call order."""
     configs = random_configs(8, seed=5)
 
     def schedule(n_threads):

@@ -2,7 +2,6 @@
 and tuning under injected faults (the robustness acceptance tests)."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ def make_tuner(faults=None, cache=True, **kwargs):
     """A small deterministic tuner; call twice for identical twins."""
     sim = IOStackSimulator(cori(2), NoiseModel(seed=11), faults=faults)
     kwargs.setdefault("population_size", 4)
-    kwargs.setdefault("batch_workers", None)
     return HSTuner(
         sim,
         stopper=NoStop(),
@@ -146,14 +144,18 @@ def test_replay_cursor_hands_out_records_in_order(tmp_path):
 # -- bit-identical kill-and-resume ---------------------------------------------
 
 
-def run_and_kill_then_resume(tmp_path, faults, keep_generations, total=6):
-    """Tune to completion; replay a truncated copy; return both journals."""
-    plan = lambda: (
+def fault_plan(faults):
+    """The plan the kill-and-resume tests inject (None without faults)."""
+    return (
         FaultPlan(seed=5, transient_error_rate=0.15, straggler_rate=0.08)
         if faults else None
     )
+
+
+def run_and_kill_then_resume(tmp_path, faults, keep_generations, total=6):
+    """Tune to completion; replay a truncated copy; return both journals."""
     full = tmp_path / "full.journal"
-    tuner = make_tuner(faults=plan())
+    tuner = make_tuner(faults=fault_plan(faults))
     tuner.attach_journal(JournalWriter(str(full), header={"h": 1}))
     tuner.tune(make_workload(), max_iterations=total)
 
@@ -166,7 +168,7 @@ def run_and_kill_then_resume(tmp_path, faults, keep_generations, total=6):
 
     journal = load_journal(str(cut))
     assert journal.last_iteration == keep_generations - 1
-    resumed = make_tuner(faults=plan())
+    resumed = make_tuner(faults=fault_plan(faults))
     resumed.attach_journal(
         JournalWriter(str(cut), header={"h": 1}, resume_from=journal),
         replay=ReplayCursor(journal),
@@ -183,15 +185,13 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
     assert result.stop_reason == "budget"
 
 
-def test_resumed_run_reports_the_fresh_runs_cache_stats(tmp_path):
-    """Cache-accounting regression: journal replay re-warms the trace
-    cache, and those warming lookups must not inflate the resumed run's
-    cache_hit_rate.  The resumed EvaluationStats match the uninterrupted
-    run's exactly, with warming visible only in the prewarm_* fields."""
+def assert_resume_reports_the_fresh_runs_stats(tmp_path, faults):
     _, _, resumed_result = run_and_kill_then_resume(
-        tmp_path, faults=False, keep_generations=3
+        tmp_path, faults=faults, keep_generations=3
     )
-    fresh_result = make_tuner().tune(make_workload(), max_iterations=6)
+    fresh_result = make_tuner(faults=fault_plan(faults)).tune(
+        make_workload(), max_iterations=6
+    )
     fresh, resumed = fresh_result.eval_stats, resumed_result.eval_stats
 
     assert resumed.prewarm_lookups > 0
@@ -204,6 +204,24 @@ def test_resumed_run_reports_the_fresh_runs_cache_stats(tmp_path):
 
     assert without_prewarm(resumed) == without_prewarm(fresh)
     assert resumed.cache_hit_rate == fresh.cache_hit_rate
+    return fresh
+
+
+def test_resumed_run_reports_the_fresh_runs_cache_stats(tmp_path):
+    """Cache-accounting regression: journal replay re-warms the trace
+    cache, and those warming lookups must not inflate the resumed run's
+    cache_hit_rate.  The resumed EvaluationStats match the uninterrupted
+    run's exactly, with warming visible only in the prewarm_* fields."""
+    fresh = assert_resume_reports_the_fresh_runs_stats(tmp_path, faults=False)
+    assert fresh.faults_injected == fresh.retries == fresh.quarantined == 0
+
+
+@pytest.mark.faults
+def test_resumed_run_reports_the_fresh_runs_fault_stats(tmp_path):
+    """The same parity under a fault plan: faults_injected, retries and
+    quarantined of the resumed run equal the uninterrupted run's."""
+    fresh = assert_resume_reports_the_fresh_runs_stats(tmp_path, faults=True)
+    assert fresh.faults_injected > 0 and fresh.retries > 0
 
 
 @pytest.mark.faults
@@ -268,40 +286,27 @@ def test_poisoned_config_is_quarantined_not_fatal():
     assert result.best_perf > 0.0  # search still found live configs
 
 
-# -- thread-pool batch resilience ----------------------------------------------
-
-
-def test_pool_worker_crash_falls_back_to_serial(tmp_path):
-    """A trace builder that only fails off the main thread: the pool
-    path fails, the serial fallback succeeds, the tune completes."""
-    tuner = make_tuner(batch_workers=2)
-    main = threading.main_thread()
-    bare_trace = tuner.simulator.trace
-
-    def flaky_in_threads(workload, config):
-        if threading.current_thread() is not main:
-            raise RuntimeError("thread-local state missing")
-        return bare_trace(workload, config)
-
-    tuner.simulator.trace = flaky_in_threads
-    result = tuner.tune(make_workload(), max_iterations=3)
-    assert result.eval_stats.fallbacks > 0
-    assert result.best_perf > 0
+# -- harness failures inside a generation batch --------------------------------
 
 
 def test_pool_worker_bug_surfaces_with_the_config_repr():
-    """A deterministic bug in a worker re-raises serially, wrapped with
-    the failing configuration's repr (never a bare pool traceback)."""
-    tuner = make_tuner(batch_workers=2, cache=False)
+    """A deterministic bug in the trace builder, hit while building a
+    generation batch, is raised wrapped with the failing configuration's
+    repr (never a bare traceback)."""
+    tuner = make_tuner(cache=False)
     bare_trace = tuner.simulator.trace
     bad = StackConfiguration.default()
+    built = []
 
-    def broken_for_default(workload, config):
-        if config == bad:
+    def broken_after_baseline(workload, config):
+        # The baseline builds the default config first; generation 0
+        # (seeded with it) builds it again inside the batch.
+        built.append(config)
+        if config == bad and len(built) > 1:
             raise ZeroDivisionError("layer model bug")
         return bare_trace(workload, config)
 
-    tuner.simulator.trace = broken_for_default
+    tuner.simulator.trace = broken_after_baseline
     with pytest.raises(HarnessError) as info:
         tuner.tune(make_workload(), max_iterations=2)
     assert repr(bad) in str(info.value)
@@ -309,8 +314,8 @@ def test_pool_worker_bug_surfaces_with_the_config_repr():
 
 
 def test_pool_worker_transient_fault_retries_serially():
-    """An injected fault in a pool worker charges a retry and the serial
-    path re-attempts without crashing the batch."""
+    """An injected transient fault charges a retry and the harness
+    re-attempts the build without crashing the tune."""
     config = StackConfiguration.default()
     for seed in range(300):
         plan = FaultPlan(seed=seed, transient_error_rate=0.5)
@@ -322,10 +327,9 @@ def test_pool_worker_transient_fault_retries_serially():
             except TransientFaultError:
                 continue
             plan.reset()
-            tuner = make_tuner(faults=plan, batch_workers=2, cache=False)
+            tuner = make_tuner(faults=plan, cache=False)
             result = tuner.tune(make_workload(), max_iterations=2)
             assert result.eval_stats.retries > 0
-            assert result.eval_stats.fallbacks == 0
             assert result.best_perf > 0
             return
         continue

@@ -66,9 +66,7 @@ def test_happy_path_is_bit_identical_to_bare_fastpath(workload):
     assert h.clock.elapsed_seconds == (
         h.clock.setup_overhead + expected.charged_seconds
     )
-    assert h.stats.as_dict() == {
-        "retries": 0, "timeouts": 0, "quarantined": 0, "fallbacks": 0,
-    }
+    assert h.stats.as_dict() == {"retries": 0, "timeouts": 0, "quarantined": 0}
 
 
 def test_charge_false_leaves_the_clock_untouched(workload):

@@ -68,7 +68,13 @@ ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.nd
 
 
 class Dense:
-    """One fully connected layer with He/Xavier initialisation."""
+    """One fully connected layer with He/Xavier initialisation.
+
+    :meth:`backward` writes dL/dW and dL/db into :attr:`weight_grad` and
+    :attr:`bias_grad`.  Inside an :class:`MLP` the parameters and the
+    gradients are views into the network's flat vectors (see
+    :meth:`bind`).
+    """
 
     def __init__(
         self,
@@ -88,30 +94,50 @@ class Dense:
         )
         self.weight = rng.normal(0.0, scale, size=(in_features, out_features))
         self.bias = np.zeros(out_features)
+        self.weight_grad = np.zeros_like(self.weight)
+        self.bias_grad = np.zeros_like(self.bias)
         self.activation = activation
         self._act, self._act_grad = ACTIVATIONS[activation]
         # forward cache
         self._x: np.ndarray | None = None
         self._z: np.ndarray | None = None
 
+    @property
+    def size(self) -> int:
+        """Number of parameters (weights plus biases)."""
+        return self.weight.size + self.bias.size
+
+    def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Move the parameters into ``params`` and the gradients into
+        ``grads`` (flat arrays of :attr:`size` entries); from then on
+        :attr:`weight`, :attr:`bias`, :attr:`weight_grad` and
+        :attr:`bias_grad` are views into them."""
+        split = self.weight.size
+        params[:split] = self.weight.ravel()
+        params[split:] = self.bias
+        grads[:split] = self.weight_grad.ravel()
+        grads[split:] = self.bias_grad
+        shape = self.weight.shape
+        self.weight, self.bias = params[:split].reshape(shape), params[split:]
+        self.weight_grad, self.bias_grad = grads[:split].reshape(shape), grads[split:]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         self._z = x @ self.weight + self.bias
         return self._act(self._z)
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Given dL/d(output), return (dL/d(input), dL/dW, dL/db)."""
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Given dL/d(output), store dL/dW and dL/db in :attr:`weight_grad`
+        and :attr:`bias_grad`, and return dL/d(input) -- or ``None`` when
+        ``input_grad`` is false (a network's first layer has no use for
+        it)."""
         if self._x is None or self._z is None:
             raise RuntimeError("backward called before forward")
-        dz = grad_out * self._act_grad(self._z)
-        dw = self._x.T @ dz
-        db = dz.sum(axis=0)
-        dx = dz @ self.weight.T
-        return dx, dw, db
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
+        # A linear layer's activation derivative is all ones.
+        dz = grad_out if self.activation == "linear" else grad_out * self._act_grad(self._z)
+        np.matmul(self._x.T, dz, out=self.weight_grad)
+        np.add.reduce(dz, axis=0, out=self.bias_grad)
+        return dz @ self.weight.T if input_grad else None
 
 
 class Adam:
@@ -132,24 +158,47 @@ class Adam:
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self._m = [np.zeros_like(p) for p in self.parameters]
         self._v = [np.zeros_like(p) for p in self.parameters]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in self.parameters]
         self._t = 0
 
     def step(self, gradients: Sequence[np.ndarray]) -> None:
         if len(gradients) != len(self.parameters):
             raise ValueError("gradient count does not match parameter count")
         self._t += 1
-        b1t = 1.0 - self.beta1**self._t
-        b2t = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(self.parameters, gradients, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+        b1, b2 = self.beta1, self.beta2
+        b1t = 1.0 - b1**self._t
+        b2t = 1.0 - b2**self._t
+        for p, g, m, v, (a, b) in zip(
+            self.parameters, gradients, self._m, self._v, self._scratch
+        ):
+            # In place, with the operations and their order of
+            #   m = b1 m + (1 - b1) g
+            #   v = b2 v + (1 - b2) g g
+            #   p -= lr (m / b1t) / (sqrt(v / b2t) + eps)
+            # so the result is bit-identical to the textbook expressions.
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, b1t, out=a)
+            a *= self.learning_rate
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += self.epsilon
+            a /= b
+            p -= a
 
 
 class MLP:
     """Feed-forward network trained with MSE + Adam.
+
+    All parameters live in one flat vector and all gradients in another;
+    every layer's weights and biases are views into them, so one Adam
+    step updates the whole network and :meth:`copy_from` is one array
+    copy.
 
     Parameters
     ----------
@@ -180,13 +229,43 @@ class MLP:
         for i, (a, b) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
             act = output_activation if i == len(layer_sizes) - 2 else hidden_activation
             self.layers.append(Dense(a, b, act, rng))
-        params = [p for layer in self.layers for p in layer.parameters]
-        self.optimizer = Adam(params, learning_rate=learning_rate)
-        #: Telemetry from the most recent :meth:`train_batch` call, read
-        #: by the guardrail monitors (pure observers -- recording them
-        #: changes nothing about training).
+        size = sum(layer.size for layer in self.layers)
+        self._params = np.empty(size)
+        self._grads = np.empty(size)
+        self._bind_layers()
+        self.optimizer = Adam([self._params], learning_rate=learning_rate)
+        #: Loss of the most recent :meth:`train_batch` call, read by the
+        #: guardrail monitors (a pure observer -- recording it changes
+        #: nothing about training).
         self.last_loss: float | None = None
-        self.last_grad_norm: float | None = None
+
+    def _bind_layers(self) -> None:
+        start = 0
+        for layer in self.layers:
+            stop = start + layer.size
+            layer.bind(self._params[start:stop], self._grads[start:stop])
+            start = stop
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling and deepcopy copy each view separately; rebind them.
+        self.__dict__.update(state)
+        self._bind_layers()
+
+    @property
+    def last_grad_norm(self) -> float | None:
+        """L2 norm of the most recent :meth:`train_batch` gradient
+        (``None`` before the first), summed parameter by parameter."""
+        if self.last_loss is None:
+            return None
+        return float(
+            np.sqrt(
+                sum(
+                    float((g * g).sum())
+                    for layer in self.layers
+                    for g in (layer.weight_grad, layer.bias_grad)
+                )
+            )
+        )
 
     # -- inference -----------------------------------------------------------
 
@@ -226,17 +305,10 @@ class MLP:
         loss = float((diff**2).sum() / n)
         grad = 2.0 * diff / n
         with maybe_span("nn.backward"):
-            grads: list[np.ndarray] = []
-            for layer in reversed(self.layers):
-                grad, dw, db = layer.backward(grad)
-                grads.append(db)
-                grads.append(dw)
-            grads.reverse()
-            self.optimizer.step(grads)
+            for i in range(len(self.layers) - 1, -1, -1):
+                grad = self.layers[i].backward(grad, input_grad=i > 0)
+            self.optimizer.step([self._grads])
         self.last_loss = loss
-        self.last_grad_norm = float(
-            np.sqrt(sum(float((g * g).sum()) for g in grads))
-        )
         return loss
 
     def fit(
@@ -282,4 +354,7 @@ class MLP:
 
     def copy_from(self, other: "MLP") -> None:
         """In-place weight copy (target-network sync)."""
-        self.set_weights(other.get_weights())
+        shapes = [layer.weight.shape for layer in self.layers]
+        if shapes != [layer.weight.shape for layer in other.layers]:
+            raise ValueError("cannot copy weights between different architectures")
+        np.copyto(self._params, other._params)

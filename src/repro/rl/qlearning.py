@@ -95,10 +95,11 @@ class QLearningAgent:
     # -- learning --------------------------------------------------------------
 
     def observe(self, transition: Transition) -> None:
-        if transition.state.shape != (self.config.state_dim,):
-            raise ValueError(
-                f"state shape {transition.state.shape} != ({self.config.state_dim},)"
-            )
+        expected = (self.config.state_dim,)
+        for name in ("state", "next_state"):
+            shape = np.shape(getattr(transition, name))
+            if shape != expected:
+                raise ValueError(f"{name} shape {shape} != {expected}")
         self.replay.push(transition)
 
     def observe_batch(
@@ -112,23 +113,11 @@ class QLearningAgent:
         """Push a batch of transitions given as parallel arrays."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         next_states = np.atleast_2d(np.asarray(next_states, dtype=float))
-        if states.shape[1] != self.config.state_dim:
-            raise ValueError(
-                f"state dim {states.shape[1]} != ({self.config.state_dim},)"
-            )
-        actions = np.broadcast_to(actions, (states.shape[0],))
-        rewards = np.broadcast_to(rewards, (states.shape[0],))
-        dones = np.broadcast_to(dones, (states.shape[0],))
-        for i in range(states.shape[0]):
-            self.replay.push(
-                Transition(
-                    state=states[i],
-                    action=int(actions[i]),
-                    reward=float(rewards[i]),
-                    next_state=next_states[i],
-                    done=bool(dones[i]),
-                )
-            )
+        expected = (self.config.state_dim,)
+        for name, arr in (("state", states), ("next_state", next_states)):
+            if arr.shape[1:] != expected:
+                raise ValueError(f"{name} dim {arr.shape[1:]} != {expected}")
+        self.replay.push_arrays(states, actions, rewards, next_states, dones)
 
     def train_step(self, batch_size: int | None = None) -> float | None:
         """One minibatch update; returns the loss, or ``None`` when the

@@ -31,30 +31,113 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Bounded FIFO store with uniform minibatch sampling."""
+    """Bounded FIFO store with uniform minibatch sampling.
+
+    Transitions live in five ring arrays of ``capacity`` rows (states,
+    actions, rewards, next states, dones), allocated on the first push.
+    A buffer holds one state shape, fixed by that push; a push whose
+    ``state`` or ``next_state`` has another shape raises ``ValueError``.
+    Position ``i`` of the oldest-first order is ring slot
+    ``(oldest + i) % capacity``, so a sample draws the same transitions,
+    with the same RNG use, as a ``deque(maxlen=capacity)`` of the same
+    pushes would.
+    """
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._buf: deque[Transition] = deque(maxlen=capacity)
+        self.capacity = capacity
+        self._arrays: tuple[np.ndarray, ...] = ()
+        self._next = 0  # ring slot the next push writes
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._len
+
+    def _rings_for(
+        self, states: np.ndarray, next_states: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """The ring arrays, after checking that ``states`` and
+        ``next_states`` are both ``(n, *state_shape)``; the first call
+        allocates them for its state shape."""
+        if not self._arrays:
+            shape = (self.capacity, *states.shape[1:])
+            self._arrays = (
+                np.empty(shape),
+                np.empty(self.capacity, dtype=np.int64),
+                np.empty(self.capacity),
+                np.empty(shape),
+                np.empty(self.capacity, dtype=bool),
+            )
+        expected = self._arrays[0].shape[1:]
+        for name, arr in (("state", states), ("next_state", next_states)):
+            if arr.shape[1:] != expected:
+                raise ValueError(
+                    f"{name} shape {arr.shape[1:]} != buffer state shape {expected}"
+                )
+        if next_states.shape[0] != states.shape[0]:
+            raise ValueError(
+                f"{next_states.shape[0]} next states for {states.shape[0]} states"
+            )
+        return self._arrays
 
     def push(self, transition: Transition) -> None:
-        self._buf.append(transition)
+        state = np.asarray(transition.state, dtype=float)[None]
+        next_state = np.asarray(transition.next_state, dtype=float)[None]
+        states, actions, rewards, next_states, dones = self._rings_for(state, next_state)
+        i = self._next
+        states[i] = state[0]
+        actions[i] = transition.action
+        rewards[i] = transition.reward
+        next_states[i] = next_state[0]
+        dones[i] = transition.done
+        self._next = (i + 1) % self.capacity
+        self._len = min(self._len + 1, self.capacity)
+
+    def push_arrays(
+        self,
+        states: np.ndarray,
+        actions: np.ndarray | int,
+        rewards: np.ndarray | float,
+        next_states: np.ndarray,
+        dones: np.ndarray | bool,
+    ) -> None:
+        """Push one transition per row of ``states``, in row order, as
+        :meth:`push` would one by one; ``actions``, ``rewards`` and
+        ``dones`` may be scalars shared by every row."""
+        states = np.asarray(states, dtype=float)
+        next_states = np.asarray(next_states, dtype=float)
+        rings = self._rings_for(states, next_states)
+        n = states.shape[0]
+        rows = [
+            states,
+            np.broadcast_to(actions, (n,)),
+            np.broadcast_to(rewards, (n,)),
+            next_states,
+            np.broadcast_to(dones, (n,)),
+        ]
+        cap = self.capacity
+        if n > cap:
+            # Only the newest ``capacity`` rows would survive.
+            rows = [r[n - cap :] for r in rows]
+        k = min(n, cap)
+        first = min(k, cap - self._next)
+        for ring, r in zip(rings, rows):
+            ring[self._next : self._next + first] = r[:first]
+            ring[: k - first] = r[first:]
+        self._next = (self._next + k) % cap
+        self._len = min(self._len + k, cap)
 
     def extend(self, transitions: Iterable[Transition]) -> None:
         for t in transitions:
             self.push(t)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if not self._buf:
-            raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(len(self._buf), size=min(batch_size, len(self._buf)))
-        return [self._buf[int(i)] for i in idx]
+        states, actions, rewards, next_states, dones = self.sample_arrays(batch_size, rng)
+        return [
+            Transition(states[i], int(a), float(r), next_states[i], bool(d))
+            for i, (a, r, d) in enumerate(zip(actions, rewards, dones))
+        ]
 
     def sample_arrays(
         self, batch_size: int, rng: np.random.Generator
@@ -62,21 +145,24 @@ class ReplayBuffer:
         """Uniform minibatch as stacked arrays: ``(states, actions,
         rewards, next_states, dones)``.
 
-        Consumes the RNG exactly like :meth:`sample` (one ``integers``
-        draw of the same size), so swapping one for the other leaves
-        every downstream random stream untouched.
+        One ``integers`` draw over the oldest-first order, mapped to ring
+        slots; :meth:`sample` makes the same draw, so swapping one for the
+        other leaves every downstream random stream untouched.
         """
-        batch = self.sample(batch_size, rng)
-        return (
-            np.stack([t.state for t in batch]),
-            np.array([t.action for t in batch]),
-            np.array([t.reward for t in batch]),
-            np.stack([t.next_state for t in batch]),
-            np.array([t.done for t in batch]),
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if not self._len:
+            raise ValueError("cannot sample from an empty buffer")
+        idx = rng.integers(self._len, size=min(batch_size, self._len))
+        oldest = (self._next - self._len) % self.capacity
+        slots = (idx + oldest) % self.capacity if oldest else idx
+        states, actions, rewards, next_states, dones = (
+            ring.take(slots, axis=0) for ring in self._arrays
         )
+        return states, actions, rewards, next_states, dones
 
     def clear(self) -> None:
-        self._buf.clear()
+        self._next = self._len = 0
 
 
 @dataclass

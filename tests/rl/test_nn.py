@@ -1,5 +1,8 @@
 """Neural-network substrate: layers, backprop, Adam, checkpointing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,13 @@ def test_all_nan_targets_are_a_noop(rng):
         assert np.allclose(v, before[k])
 
 
+def test_grad_norm_is_none_before_first_train_batch(rng):
+    net = MLP([2, 4, 1], rng)
+    assert net.last_loss is None and net.last_grad_norm is None
+    net.train_batch(np.ones((3, 2)), np.zeros((3, 1)))
+    assert net.last_grad_norm is not None and net.last_grad_norm > 0
+
+
 def test_weight_roundtrip(rng):
     a = MLP([2, 4, 1], rng)
     b = MLP([2, 4, 1], rng)
@@ -115,11 +125,30 @@ def test_weight_roundtrip(rng):
     assert np.allclose(a(x), b(x))
 
 
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_network_trains_its_own_layers(rng, clone):
+    net = MLP([2, 4, 1], rng)
+    twin = clone(net)
+    x, y = rng.normal(size=(5, 2)), rng.normal(size=(5, 1))
+    before = net.get_weights()
+    net.train_batch(x, y)
+    twin.train_batch(x, y)
+    assert not np.array_equal(net.get_weights()["w0"], before["w0"])
+    for key, value in net.get_weights().items():
+        assert np.array_equal(twin.get_weights()[key], value), key
+    assert np.array_equal(twin(x), net(x))
+
+
 def test_weight_shape_mismatch(rng):
     a = MLP([2, 4, 1], rng)
     b = MLP([2, 5, 1], rng)
     with pytest.raises(ValueError):
         b.set_weights(a.get_weights())
+    with pytest.raises(ValueError):
+        b.copy_from(a)
 
 
 def test_mlp_validation(rng):

@@ -46,6 +46,17 @@ def test_observe_validates_state_shape(rng):
         agent.observe(Transition(np.zeros(3), 0, 0.0, np.zeros(3), True))
 
 
+def test_observe_validates_next_state_shape(rng):
+    agent = make_agent(rng)
+    with pytest.raises(ValueError, match="next_state"):
+        agent.observe(Transition(np.zeros(2), 0, 0.0, np.zeros(1), True))
+    with pytest.raises(ValueError, match="next_state"):
+        agent.observe_batch(np.zeros((3, 2)), 0, 0.0, np.zeros((3, 1)), False)
+    with pytest.raises(ValueError, match="state"):
+        agent.observe_batch(np.zeros((3, 1)), 0, 0.0, np.zeros((3, 2)), False)
+    assert len(agent.replay) == 0
+
+
 def test_learns_a_contextual_rule(rng):
     """Reward action 1 when state[0] > 0.5, else action 0."""
     agent = make_agent(rng)

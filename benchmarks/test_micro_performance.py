@@ -100,7 +100,8 @@ def test_disk_cache_warm_vs_cold(tmp_path):
     campaigns where tracing, not replay, dominates.
 
     A 64-phase synthetic campaign stands in for them.  Cold = key +
-    stack traversal + store; warm = key + packed-``.npz`` load.  Small
+    stack traversal + store; warm = key + one-member ``.npz`` load
+    (one zip open, one ``.npy`` header, positional rebuild).  Small
     single-phase workloads trace so cheaply that disk I/O is a wash
     there -- which is fine, the in-memory cache already covers them.
     """

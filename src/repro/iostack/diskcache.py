@@ -27,13 +27,38 @@ Design
   reader never observes a torn entry and concurrent writers of the same
   key simply last-write-win with identical bytes (traces are
   deterministic functions of the key).
-* **Bit-identity.**  A trace round-trips through ``.npz`` exactly
-  (int64/float64/str arrays), and replaying a loaded trace is
-  bit-identical to replaying the freshly built one -- the in-memory
-  cache's contract extends to disk unchanged.
+* **One member per entry (schema v3).**  An entry is a valid ``.npz``
+  holding a single uint8 array ``entry``, laid out as::
+
+      [3 x int64 sizes | int64 block | float64 block | UTF-8 names]
+
+  The sizes header gives the element counts of the two numeric blocks
+  and the byte count of the names.  The int64 block is ``[schema,
+  n_phases, n_streams, streams per phase, five phase counter columns,
+  two stream counter columns, the length of every name]``; the float64
+  block is three phase columns then the streams' ``base_seconds``; the
+  names (workload, phases, stream ops) are concatenated and split by
+  those lengths.  It is written by one :func:`numpy.savez` and read by
+  one :class:`zipfile.ZipFile` open plus
+  :func:`numpy.lib.format.read_array`: per-member zip and ``.npy``
+  header parsing, not bytes, dominates the load time of small entries.
+* **Bit-identity.**  A trace round-trips exactly (int64/float64 values,
+  names with any code point, lone surrogates and trailing NULs
+  included), and replaying a loaded trace is bit-identical to replaying
+  the freshly built one -- the in-memory cache's contract extends to
+  disk unchanged.
 * **LRU bound.**  ``max_entries`` caps the directory; reads refresh the
-  entry mtime and stores evict the stalest files beyond the cap.
-  Eviction races between workers are benign (missing files are skipped).
+  entry mtime and stores evict the stalest entries beyond the cap.  A
+  backend lists the directory once, at its first store, and then keeps
+  a running count of the entries it adds.  Only when that count exceeds
+  ``max_entries`` does it list and ``stat`` the directory again, evict,
+  and resync the count from that listing -- so below the cap a store
+  costs only its own write, and at the cap one listing per store.
+  The cap is soft when several processes share a directory: each
+  backend counts only its own stores, so between two of its listings
+  the directory can overshoot by what the others stored meanwhile, and
+  the next listing trims it back.  Entries another worker deletes
+  mid-listing are skipped, not fatal.
 """
 
 from __future__ import annotations
@@ -43,9 +68,11 @@ import functools
 import hashlib
 import itertools
 import os
+import zipfile
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,16 +93,34 @@ __all__ = [
 ]
 
 #: Bump when the entry layout or the key recipe changes; old entries
-#: then simply never match and age out of the LRU.  v2 packed the nine
-#: per-field arrays into three dense ones: zip-member overhead, not
-#: bytes, dominates small-entry load times.
-DISK_SCHEMA_VERSION = 2
+#: then simply never match and age out of the LRU.  v3 packs the whole
+#: entry into one uint8 member (v2 had three members, v1 nine).
+DISK_SCHEMA_VERSION = 3
 
 _SUFFIX = ".npz"
+
+#: The single array of an entry; ``np.savez`` stores it as ``entry.npy``.
+_MEMBER = "entry"
+
+#: Int64 words in front of every packed entry: the element counts of the
+#: int64 and float64 blocks and the byte count of the names.
+_HEADER_WORDS = 3
 
 #: Per-process counter making temp-file names unique within one process
 #: (the pid in the name separates processes sharing a cache directory).
 _TMP_COUNTER = itertools.count()
+
+#: Column order of the per-phase counters; matches :class:`PhaseTrace`'s
+#: positional fields, which :func:`trace_from_arrays` relies on.
+_PHASE_INTS = tuple(
+    map(
+        attrgetter,
+        ("bytes_written", "bytes_read", "write_ops", "read_ops", "meta_ops"),
+    )
+)
+_PHASE_FLOATS = tuple(
+    map(attrgetter, ("overhead_seconds", "base_meta_seconds", "compute_seconds"))
+)
 
 
 @dataclass(frozen=True)
@@ -105,44 +150,34 @@ class DiskCacheStats:
 def trace_to_arrays(trace: StackTrace) -> dict[str, np.ndarray]:
     """Flatten a :class:`StackTrace` into three fixed-dtype arrays.
 
-    Phases and their variable-length stream tuples are flattened with an
-    explicit per-phase stream count, packed into exactly one int64, one
-    float64 and one unicode array (``np.savez`` without
-    ``allow_pickle``).  Three members, not nine: per-member zip overhead
-    dominates the load time of small entries, so fewer members is what
-    makes a warm start cheap.
-
-    Layout: ``ints`` = [schema, n_phases, n_streams, stream counts per
-    phase, 5 counters per phase, 2 counters per stream]; ``floats`` =
-    [3 per phase, base_seconds per stream]; ``names`` = [workload name,
-    phase names, stream ops].
+    ``ints`` (int64) = [schema, n_phases, n_streams, streams per phase,
+    the five phase counters column by column, the two stream counters
+    column by column, the length of every name]; ``floats`` (float64) =
+    the three phase timings column by column, then ``base_seconds`` per
+    stream; ``names`` (uint8) = the UTF-8 of the workload name, the
+    phase names and the stream ops, concatenated.  A backend entry packs
+    the three behind a sizes header (see the module docstring).
     """
     phases = trace.phases
     streams = [s for p in phases for s in p.streams]
-    m, k = len(phases), len(streams)
-    ints = np.empty(3 + m + 5 * m + 2 * k, dtype=np.int64)
-    ints[0:3] = (DISK_SCHEMA_VERSION, m, k)
-    ints[3 : 3 + m] = [len(p.streams) for p in phases]
-    ints[3 + m : 3 + 6 * m] = [
-        value
-        for p in phases
-        for value in (p.bytes_written, p.bytes_read, p.write_ops, p.read_ops, p.meta_ops)
-    ]
-    ints[3 + 6 * m :] = [
-        value for s in streams for value in (s.total_bytes, s.total_ops)
-    ]
-    floats = np.empty(3 * m + k, dtype=np.float64)
-    floats[: 3 * m] = [
-        value
-        for p in phases
-        for value in (p.overhead_seconds, p.base_meta_seconds, p.compute_seconds)
-    ]
-    floats[3 * m :] = [s.base_seconds for s in streams]
-    names = np.array(
-        [trace.workload_name, *(p.name for p in phases), *(s.op for s in streams)],
-        dtype=np.str_,
-    )
-    return {"ints": ints, "floats": floats, "names": names}
+    names = [trace.workload_name, *(p.name for p in phases), *(s.op for s in streams)]
+    ints = [DISK_SCHEMA_VERSION, len(phases), len(streams)]
+    ints += [len(p.streams) for p in phases]
+    for column in _PHASE_INTS:
+        ints += map(column, phases)
+    ints += [s.total_bytes for s in streams]
+    ints += [s.total_ops for s in streams]
+    ints += map(len, names)
+    floats: list[float] = []
+    for column in _PHASE_FLOATS:
+        floats += map(column, phases)
+    floats += [s.base_seconds for s in streams]
+    text = "".join(names).encode("utf-8", "surrogatepass")
+    return {
+        "ints": np.array(ints, dtype="<i8"),
+        "floats": np.array(floats, dtype="<f8"),
+        "names": np.frombuffer(text, dtype=np.uint8),
+    }
 
 
 def trace_from_arrays(data: dict[str, np.ndarray]) -> StackTrace:
@@ -159,45 +194,66 @@ def trace_from_arrays(data: dict[str, np.ndarray]) -> StackTrace:
     # One C-level pass per array beats thousands of numpy-scalar
     # conversions on the hot warm-start path.
     iv: list[int] = ints.tolist()
-    fv: list[float] = floats.tolist()
-    nv: list[str] = names.tolist()
     m, k = iv[1], iv[2]
-    counts = iv[3 : 3 + m]
-    phase_ints = iv[3 + m : 3 + 6 * m]
-    stream_ints = iv[3 + 6 * m :]
-    phase_floats = fv[: 3 * m]
-    stream_seconds = fv[3 * m :]
-    phases = []
-    offset = 0
-    for i in range(m):
-        lo, hi = offset, offset + counts[i]
-        offset = hi
-        streams = tuple(
-            StreamTrace(
-                op=nv[1 + m + j],
-                base_seconds=stream_seconds[j],
-                total_bytes=stream_ints[2 * j],
-                total_ops=stream_ints[2 * j + 1],
-            )
-            for j in range(lo, hi)
-        )
-        pi = phase_ints[5 * i : 5 * i + 5]
-        pf = phase_floats[3 * i : 3 * i + 3]
-        phases.append(
-            PhaseTrace(
-                name=nv[1 + i],
-                bytes_written=pi[0],
-                bytes_read=pi[1],
-                write_ops=pi[2],
-                read_ops=pi[3],
-                meta_ops=pi[4],
-                overhead_seconds=pf[0],
-                base_meta_seconds=pf[1],
-                compute_seconds=pf[2],
-                streams=streams,
-            )
-        )
-    return StackTrace(workload_name=nv[0], phases=tuple(phases))
+    counts, *phase_ints, stream_bytes, stream_ops, lengths = _split(
+        iv[3:], [m] * 6 + [k, k, 1 + m + k]
+    )
+    *phase_floats, stream_seconds = _split(floats.tolist(), [m, m, m, k])
+    text = names.tobytes().decode("utf-8", "surrogatepass")
+    workload_name, *labels = _split(text, lengths)  # phase names, stream ops
+    streams = list(
+        map(StreamTrace, labels[m:], stream_seconds, stream_bytes, stream_ops)
+    )
+    phases = map(
+        PhaseTrace,
+        labels[:m],
+        *phase_ints,
+        *phase_floats,
+        map(tuple, _split(streams, counts)),
+    )
+    return StackTrace(workload_name, tuple(phases))
+
+
+T = TypeVar("T")
+
+
+def _split(values: Sequence[T], sizes: list[int]) -> list[Sequence[T]]:
+    """Consecutive runs of ``values`` with the given sizes, which must
+    cover it exactly."""
+    if min(sizes, default=0) < 0 or sum(sizes) != len(values):
+        raise ValueError("disk-cache entry sizes disagree with its contents")
+    ends = list(itertools.accumulate(sizes))
+    return [values[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _pack(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The one uint8 member of an entry: sizes header, then the int64,
+    float64 and name bytes of :func:`trace_to_arrays` back to back."""
+    ints, floats, names = arrays["ints"], arrays["floats"], arrays["names"]
+    header = np.array([ints.size, floats.size, names.size], dtype="<i8")
+    return np.frombuffer(
+        b"".join((header.tobytes(), ints.tobytes(), floats.tobytes(), names.tobytes())),
+        dtype=np.uint8,
+    )
+
+
+def _unpack(blob: np.ndarray) -> dict[str, np.ndarray]:
+    """Split a packed entry into the arrays :func:`trace_from_arrays`
+    reads (views, no copies)."""
+    head = 8 * _HEADER_WORDS
+    if blob.dtype != np.uint8 or blob.ndim != 1 or blob.size < head:
+        raise ValueError("disk-cache entry is not a packed uint8 vector")
+    n_ints, n_floats, n_bytes = np.frombuffer(blob, "<i8", _HEADER_WORDS).tolist()
+    if min(n_ints, n_floats, n_bytes) < 0 or (
+        head + 8 * (n_ints + n_floats) + n_bytes != blob.size
+    ):
+        raise ValueError("disk-cache entry size disagrees with its header")
+    start = head + 8 * n_ints
+    return {
+        "ints": np.frombuffer(blob, "<i8", n_ints, head),
+        "floats": np.frombuffer(blob, "<f8", n_floats, start),
+        "names": blob[start + 8 * n_floats :],
+    }
 
 
 # -- content addressing ------------------------------------------------------------
@@ -230,7 +286,8 @@ class DiskCacheBackend:
         share between concurrent processes.
     max_entries:
         Soft cap on the number of entries; stores evict the
-        least-recently-used files beyond it.
+        least-recently-used files beyond it (see the module docstring
+        for when the directory is listed).
     """
 
     def __init__(self, cache_dir: str | Path, max_entries: int = 4096):
@@ -238,15 +295,21 @@ class DiskCacheBackend:
             raise ValueError("max_entries must be >= 1")
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        #: ``cache_dir`` as a string: entry paths are built per lookup and
+        #: per store, and string joins cost a fraction of ``Path``'s.
+        self._root = os.fspath(self.cache_dir)
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
         self.errors = 0
+        #: Running entry count; ``None`` until the first store lists the
+        #: directory.
+        self._entries: int | None = None
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.cache_dir.glob(f"*{_SUFFIX}"))
+        return len(self._entry_names())
 
     def stats(self) -> DiskCacheStats:
         return DiskCacheStats(
@@ -286,8 +349,8 @@ class DiskCacheBackend:
             + repr(tail).encode("utf-8", "backslashreplace")
         ).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}{_SUFFIX}"
+    def _path(self, key: str) -> str:
+        return os.path.join(self._root, key + _SUFFIX)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -297,9 +360,10 @@ class DiskCacheBackend:
         errors)."""
         path = self._path(key)
         try:
-            with np.load(path) as archive:
-                data = {name: archive[name] for name in archive.files}
-            trace = trace_from_arrays(data)
+            with zipfile.ZipFile(path) as archive:
+                with archive.open(f"{_MEMBER}.npy") as member:
+                    blob = np.lib.format.read_array(member, allow_pickle=False)
+            trace = trace_from_arrays(_unpack(blob))
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -318,48 +382,79 @@ class DiskCacheBackend:
         """Persist a trace atomically; failures are swallowed (a broken
         disk cache degrades to cold starts, never to broken runs)."""
         path = self._path(key)
-        tmp = self.cache_dir / f".{key}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
+        tmp = os.path.join(
+            self._root, f".{key}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
+        )
         try:
-            arrays = trace_to_arrays(trace)
+            blob = _pack(trace_to_arrays(trace))
             with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
+                np.savez(fh, **{_MEMBER: blob})
             os.replace(tmp, path)
         except Exception:
             self.errors += 1
             try:
-                tmp.unlink(missing_ok=True)
+                os.unlink(tmp)
             except OSError:
                 pass
             return
         self.stores += 1
-        self._evict()
+        # Overwriting an existing key overcounts; that only brings the
+        # next listing forward, which resyncs the count.
+        if self._entries is not None and self._entries < self.max_entries:
+            self._entries += 1
+        else:
+            self._evict()
+
+    def _entry_names(self) -> list[str]:
+        """Entry file names (no temp files); ``[]`` if the directory is
+        gone."""
+        try:
+            with os.scandir(self._root) as listing:
+                return [
+                    e.name
+                    for e in listing
+                    if e.name.endswith(_SUFFIX) and not e.name.startswith(".")
+                ]
+        except FileNotFoundError:
+            return []
 
     def _evict(self) -> None:
-        """Drop the least-recently-used entries beyond ``max_entries``.
-        Races with concurrent workers are benign: already-deleted files
-        are skipped."""
+        """List the directory, drop the least-recently-used entries
+        beyond ``max_entries`` and resync the running count.  Races with
+        concurrent workers are benign: an entry deleted between the
+        listing and its ``stat`` or ``unlink`` is skipped."""
         try:
-            entries = sorted(
-                (
-                    (p.stat().st_mtime, p)
-                    for p in self.cache_dir.glob(f"*{_SUFFIX}")
-                ),
-                key=lambda pair: pair[0],
-            )
+            names = self._entry_names()
         except OSError:
             return
-        excess = len(entries) - self.max_entries
-        for _, path in entries[:excess] if excess > 0 else []:
+        if len(names) <= self.max_entries:
+            self._entries = len(names)
+            return
+        entries = []
+        for name in names:
+            path = os.path.join(self._root, name)
             try:
-                path.unlink()
+                entries.append((os.stat(path).st_mtime, path))
+            except OSError:  # already evicted by another worker
+                continue
+        entries.sort()
+        gone = 0
+        for _, path in entries[: max(len(entries) - self.max_entries, 0)]:
+            try:
+                os.unlink(path)
                 self.evictions += 1
-            except OSError:
+            except FileNotFoundError:  # another worker evicted it first
                 pass
+            except OSError:
+                continue
+            gone += 1
+        self._entries = len(entries) - gone
 
     def clear(self) -> None:
         """Remove every entry (counters are kept)."""
-        for path in self.cache_dir.glob(f"*{_SUFFIX}"):
+        for name in self._entry_names():
             try:
-                path.unlink()
+                os.unlink(os.path.join(self._root, name))
             except OSError:
                 pass
+        self._entries = None

@@ -795,12 +795,14 @@ class HSTuner(Tuner):
         return {
             "traces_built": self.simulator.traces_built,
             "trace_replays": self.simulator.trace_replays,
-            "cache_hits": cache.hits if cache else 0,
-            "cache_misses": cache.misses if cache else 0,
-            "cache_evictions": cache.evictions if cache else 0,
-            "disk_hits": backend.hits if backend else 0,
-            "disk_misses": backend.misses if backend else 0,
-            "disk_stores": backend.stores if backend else 0,
+            # ``is not None``, not truthiness: both caches define
+            # ``__len__``, and the disk backend's lists its directory.
+            "cache_hits": cache.hits if cache is not None else 0,
+            "cache_misses": cache.misses if cache is not None else 0,
+            "cache_evictions": cache.evictions if cache is not None else 0,
+            "disk_hits": backend.hits if backend is not None else 0,
+            "disk_misses": backend.misses if backend is not None else 0,
+            "disk_stores": backend.stores if backend is not None else 0,
             "faults_injected": (
                 faults.transient_errors_injected + faults.stragglers_injected
                 if faults is not None

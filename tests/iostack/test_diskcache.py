@@ -14,6 +14,10 @@ Three contracts are pinned here:
 """
 
 import io
+import os
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from repro.iostack import (
 from repro.iostack.diskcache import (
     DISK_SCHEMA_VERSION,
     DiskCacheBackend,
+    _pack,
     trace_from_arrays,
     trace_to_arrays,
 )
@@ -279,3 +284,182 @@ def test_disk_hit_is_bit_identical_to_a_cold_run(tmp_path):
     assert warm == cold
     assert warm_cache.backend.hits == len(configs)
     assert warm_cache.backend.stores == 0
+
+
+# -- wire format (schema v3) --------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(_traces())
+def test_trace_roundtrips_through_the_backends_own_bytes(trace):
+    """``store`` then ``load`` on disk: one ``entry`` member that
+    ``np.load`` can still open, and the trace back bit-for-bit."""
+    with tempfile.TemporaryDirectory() as directory:
+        backend = DiskCacheBackend(directory)
+        backend.store("k", trace)
+        assert (backend.stores, backend.errors) == (1, 0)
+        with np.load(Path(directory) / "k.npz") as archive:
+            assert archive.files == ["entry"]
+            assert archive["entry"].dtype == np.uint8
+        assert backend.load("k") == trace
+        assert (backend.hits, backend.errors) == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["tail\x00\x00", "\ud800lone", "ünï☃"])
+def test_names_survive_the_backend_exactly(tmp_path, name):
+    """Trailing NULs and lone surrogates, which a fixed-width unicode
+    array would strip or reject, round-trip unchanged."""
+    trace = StackTrace(
+        workload_name=name,
+        phases=(
+            PhaseTrace(name, 1, 2, 3, 4, 5, 0.5, 0.25, 2.0,
+                       (StreamTrace(name, 1.5, 7, 8),)),
+        ),
+    )
+    backend = DiskCacheBackend(tmp_path)
+    backend.store("k", trace)
+    assert backend.load("k") == trace and backend.errors == 0
+
+
+def test_v2_entry_under_a_v3_key_is_a_counted_miss(tmp_path, sim):
+    """A three-member entry in the previous layout (schema 2) degrades
+    to a miss plus an error; it never raises."""
+    backend = DiskCacheBackend(tmp_path)
+    key = backend.entry_key(sim.platform, flash(), StackConfiguration.default())
+    with open(tmp_path / f"{key}.npz", "wb") as fh:
+        np.savez(
+            fh,
+            ints=np.array([2, 0, 0], dtype=np.int64),
+            floats=np.zeros(0),
+            names=np.array(["flash"], dtype=np.str_),
+        )
+    assert backend.load(key) is None
+    stats = backend.stats()
+    assert (stats.hits, stats.misses, stats.errors) == (0, 1, 1)
+
+
+def test_entry_whose_sizes_disagree_is_a_counted_miss(tmp_path, sim):
+    """A well-formed one-member entry whose blocks do not match its
+    phase counts is rejected, not served as a shorter trace."""
+    backend = DiskCacheBackend(tmp_path)
+    arrays = trace_to_arrays(sim.trace(flash(), StackConfiguration.default()))
+    arrays["floats"] = arrays["floats"][:-1]
+    with open(tmp_path / "k.npz", "wb") as fh:
+        np.savez(fh, entry=_pack(arrays))
+    assert backend.load("k") is None
+    assert (backend.misses, backend.errors) == (1, 1)
+
+
+# -- eviction cost model ------------------------------------------------------
+
+
+def _store_backdated(backend, key, trace, age):
+    """Store ``trace`` under ``key`` and date its mtime ``age`` seconds
+    back, so LRU order is unambiguous on coarse clocks."""
+    backend.store(key, trace)
+    path = backend.cache_dir / f"{key}.npz"
+    if path.exists():
+        stamp = time.time() - age
+        os.utime(path, (stamp, stamp))
+
+
+def test_stores_below_the_cap_list_the_directory_at_most_once(
+    tmp_path, sim, monkeypatch
+):
+    listings = []
+    real_scandir, real_glob = os.scandir, Path.glob
+
+    def scandir(*args, **kwargs):
+        listings.append("scandir")
+        return real_scandir(*args, **kwargs)
+
+    def glob(self, *args, **kwargs):
+        listings.append("glob")
+        return real_glob(self, *args, **kwargs)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    monkeypatch.setattr(Path, "glob", glob)
+    backend = DiskCacheBackend(tmp_path, max_entries=50)
+    trace = sim.trace(flash(), StackConfiguration.default())
+    for i in range(40):
+        backend.store(f"k{i}", trace)
+    assert len(listings) <= 1
+    assert backend.stores == 40 and backend.evictions == 0
+    monkeypatch.undo()
+    assert len(backend) == 40
+
+
+def test_a_tuning_run_lists_the_directory_at_most_once(tmp_path, monkeypatch):
+    """The tuner's stats window reads the backend's counters without
+    listing its directory (truthiness of a backend is its entry count)."""
+    from repro.tuners import HSTuner, NoStop
+
+    listings = []
+    real_scandir = os.scandir
+    monkeypatch.setattr(
+        os, "scandir", lambda *a, **k: listings.append(a) or real_scandir(*a, **k)
+    )
+    backend = DiskCacheBackend(tmp_path)
+    tuner = HSTuner(
+        IOStackSimulator(cori(4), NoiseModel(seed=3)),
+        stopper=NoStop(),
+        rng=np.random.default_rng(0),
+        cache=EvaluationCache(backend=backend),
+    )
+    res = tuner.tune(flash(), max_iterations=3)
+    assert backend.stores > 0 and res.eval_stats.disk_stores == backend.stores
+    assert len(listings) <= 1
+
+
+@pytest.mark.parametrize("over", [1, 3])
+def test_going_k_over_the_cap_evicts_exactly_the_k_stalest(tmp_path, sim, over):
+    cap = 5
+    backend = DiskCacheBackend(tmp_path, max_entries=cap)
+    trace = sim.trace(flash(), StackConfiguration.default())
+    keys = [f"k{i}" for i in range(cap + over)]
+    for i, key in enumerate(keys):
+        _store_backdated(backend, key, trace, age=100 - i)
+    assert backend.evictions == over
+    assert sorted(p.stem for p in tmp_path.glob("*.npz")) == sorted(keys[over:])
+
+
+def test_a_load_refreshes_recency(tmp_path, sim):
+    """An entry that was read outlives an older-written unread one."""
+    backend = DiskCacheBackend(tmp_path, max_entries=2)
+    trace = sim.trace(flash(), StackConfiguration.default())
+    _store_backdated(backend, "read", trace, age=100)
+    _store_backdated(backend, "unread", trace, age=50)
+    assert backend.load("read") == trace
+    backend.store("new", trace)
+    assert backend.evictions == 1
+    assert backend.load("unread") is None
+    assert backend.load("read") == trace and backend.load("new") == trace
+
+
+def test_an_entry_vanishing_mid_scan_does_not_cancel_eviction(
+    tmp_path, sim, monkeypatch
+):
+    """Regression: another worker deleting one listed entry between the
+    listing and its ``stat`` must skip that entry only, not abandon the
+    whole eviction."""
+    trace = sim.trace(flash(), StackConfiguration.default())
+    writer = DiskCacheBackend(tmp_path, max_entries=100)
+    for i in range(6):
+        _store_backdated(writer, f"k{i}", trace, age=100 - i)
+    victim = str(tmp_path / "k5.npz")
+    real_stat, vanished = os.stat, []
+
+    def stat(path, *args, **kwargs):
+        if os.fspath(path) == victim and not vanished:
+            vanished.append(victim)
+            os.unlink(victim)  # the other worker wins the race
+        return real_stat(path, *args, **kwargs)
+
+    backend = DiskCacheBackend(tmp_path, max_entries=3)
+    monkeypatch.setattr(os, "stat", stat)
+    backend.store("new", trace)
+    monkeypatch.undo()
+    assert vanished
+    assert len(backend) == backend.max_entries
+    assert backend.load("k0") is None  # stalest: evicted
+    assert backend.load("new") == trace

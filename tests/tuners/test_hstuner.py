@@ -147,6 +147,21 @@ def test_eval_stats_without_cache(sim):
     assert res.cache_hit_rate == 0.0
 
 
+def test_eval_stats_window_of_a_cleared_cache(sim):
+    """A shared cache that was cleared between runs holds no entries but
+    keeps its counters; the second run's window must start from those
+    counters, not from zero (an empty cache is falsy)."""
+    from repro.iostack import EvaluationCache
+
+    cache = EvaluationCache()
+    small_tuner(sim, cache=cache).tune(make_workload(), max_iterations=3)
+    cache.clear()
+    before = cache.misses
+    res = small_tuner(sim, seed=1, cache=cache).tune(make_workload(), max_iterations=3)
+    assert before > 0
+    assert res.eval_stats.cache_misses == cache.misses - before
+
+
 def test_tuning_revisits_hit_the_cache(sim):
     from repro.iostack import EvaluationCache
 

@@ -143,6 +143,26 @@ def test_quarantine_state_round_trip(workload):
     assert other.is_quarantined(config)
 
 
+def test_empty_quarantine_skips_the_config_digest(workload, monkeypatch):
+    import repro.tuners.resilience as resilience
+
+    digests = []
+    real = resilience.config_digest
+
+    def counting(config):
+        digests.append(config)
+        return real(config)
+
+    monkeypatch.setattr(resilience, "config_digest", counting)
+    h = harness()
+    config = StackConfiguration.default()
+    assert not h.is_quarantined(config)
+    h.evaluate_config(workload, config, repeats=2)
+    assert digests == []
+    h.restore_quarantine({real(config): repr(config)})
+    assert h.is_quarantined(config) and digests == [config]
+
+
 # -- timeout -------------------------------------------------------------------
 
 

@@ -55,18 +55,17 @@ from repro.iostack.parameters import (
     default_constraints,
 )
 from repro.iostack.simulator import IOStackSimulator
-from repro.observability.metrics import (
-    MetricsRegistry,
-    fastpath_line,
-    guardrails_line,
-    resilience_line,
-    snapshot_degraded,
-)
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.profiling import Profiler
 from repro.observability.profiling import activate as activate_profiler
 from repro.observability.profiling import deactivate as deactivate_profiler
 from repro.observability.recorder import NULL_RECORDER, Recorder, TraceRecorder
-from repro.observability.report import baseline_line, final_line, iteration_line
+from repro.observability.report import (
+    baseline_line,
+    final_line,
+    iteration_line,
+    stats_lines,
+)
 from repro.rl.guardrails import CheckpointError
 from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import JournalError, ReplayCursor, load_journal
@@ -138,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="persist the evaluation (trace) cache to DIR, shared "
-             "across invocations; results are bit-identical with or "
-             "without it",
+             "across invocations; without transient faults, results "
+             "are bit-identical with or without it",
     )
     faults = parser.add_argument_group(
         "fault injection (seeded, deterministic; off by default)"
@@ -599,21 +598,16 @@ def _run_tuning(
     print("\n" + final_line(result))
     if checkpoint_trip is not None:
         result.guardrail_trips = (checkpoint_trip,) + result.guardrail_trips
-    registry = MetricsRegistry.from_run(
-        result,
-        cache_stats=eval_cache.stats() if eval_cache is not None else None,
-        profiler=profiler,
-    )
-    snapshot = registry.snapshot()
-    if result.eval_stats is not None:
-        print(f"fastpath: {fastpath_line(snapshot)}")
-        if snapshot_degraded(snapshot):
-            print(f"resilience: {resilience_line(snapshot)}")
-    if result.guardrail_trips:
-        print(f"guardrails: {guardrails_line(result.guardrail_trips)}")
+    for line in stats_lines(result):
+        print(line)
     if args.metrics_out:
+        registry = MetricsRegistry.from_run(
+            result,
+            cache_stats=eval_cache.stats() if eval_cache is not None else None,
+            profiler=profiler,
+        )
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
+            json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"metrics written to {args.metrics_out}")
     if result.best_config is not None:

@@ -163,8 +163,8 @@ def build_tunio(
     """Assemble a TunIO pipeline from offline-trained agents.
 
     ``cache`` (an :class:`~repro.iostack.evalcache.EvaluationCache`) lets
-    revisited configurations skip the stack traversal; tuning results
-    are bit-identical with or without it.
+    revisited configurations skip the stack traversal; without transient
+    faults, tuning results are bit-identical with or without it.
     """
     stopper = RLStopper(
         agents.early_stopper, normalizer, expected_runs=expected_runs

@@ -10,13 +10,13 @@ subset picker between generations), so the engine exposes a single
 Toolbox contract (all rng arguments are numpy Generators):
 
 * ``generate(n, rng) -> list[Individual]`` -- initial population.
-* ``evaluate(individual) -> float`` -- fitness, higher is better.
+* ``evaluate(individual) -> float`` -- fitness, higher is better; or
+  ``evaluate_batch(individuals) -> sequence[float]``, which receives a
+  generation's unevaluated individuals as one batch (in population
+  order) and is preferred when both are registered.
 * ``select(population, rng) -> (Individual, Individual)`` -- two parents.
 * ``mate(a, b, rng) -> (Individual, Individual)`` -- two offspring.
 * ``mutate(individual, rng) -> Individual``.
-* ``evaluate_batch(individuals) -> sequence[float]`` -- optional; when
-  registered, a generation's unevaluated individuals are dispatched as
-  one batch (in population order) instead of one ``evaluate`` call each.
 * ``repair(individual) -> Individual`` -- optional; a deterministic,
   RNG-free projection applied to every bred individual (after mask
   pinning), so variation can never emit a constraint-violating genome.
@@ -27,9 +27,8 @@ Only individuals with no fitness are (re)evaluated, matching DEAP's
 invalid-fitness convention -- elites carry their fitness across
 generations for free.  Duplicate genomes within a generation are each
 evaluated (a stochastic evaluator must be consulted once per
-individual); :attr:`GenerationStats.distinct_genomes` counts them, and
-the stack tuners deduplicate at the trace level inside their batch
-evaluator instead.
+individual); the stack tuners deduplicate at the trace level inside
+their batch evaluator instead.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ class GenerationStats:
     best: Individual
     #: Individuals assigned a fitness in this generation.
     evaluations: int
-    #: Distinct genomes among them (evaluations - distinct = duplicates).
-    distinct_genomes: int = 0
 
 
 class EvolutionEngine:
@@ -189,16 +186,6 @@ class EvolutionEngine:
 
     # -- internals ---------------------------------------------------------------------
 
-    @staticmethod
-    def duplicate_groups(individuals: Sequence[Individual]) -> list[list[int]]:
-        """Group indices of ``individuals`` by identical genome, in
-        first-seen order.  ``[[0, 3], [1], [2]]`` means individuals 0 and
-        3 share a genome."""
-        groups: dict[bytes, list[int]] = {}
-        for i, ind in enumerate(individuals):
-            groups.setdefault(ind.genome.tobytes(), []).append(i)
-        return list(groups.values())
-
     def _evaluate_and_record(self) -> GenerationStats:
         pending = [ind for ind in self.population if not ind.evaluated]
         if pending:
@@ -212,7 +199,6 @@ class EvolutionEngine:
             mean_fitness=float(fitnesses.mean()),
             best=best,
             evaluations=len(pending),
-            distinct_genomes=len(self.duplicate_groups(pending)),
         )
         self.history.append(stats)
         return stats

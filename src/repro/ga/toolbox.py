@@ -18,16 +18,20 @@ __all__ = ["Toolbox"]
 class Toolbox:
     """Named registry of callables with baked-in default arguments.
 
-    Beyond the five required entries the engine recognises two optional
-    ones:
+    The engine calls ``generate``, ``select``, ``mate`` and ``mutate``,
+    and one of two evaluation entries:
 
-    * ``evaluate_batch(individuals) -> sequence[float]``: when
-      registered, each generation's unevaluated individuals are
-      dispatched as a single call (in population order) instead of one
-      ``evaluate`` call each, letting the evaluator share work across
-      the generation (trace reuse, deduplication, worker pools).  It
-      must return one fitness per input individual, aligned with the
-      input order.
+    * ``evaluate(individual) -> float``: one call per unevaluated
+      individual (the DEAP contract);
+    * ``evaluate_batch(individuals) -> sequence[float]``: one call per
+      generation with its unevaluated individuals in population order,
+      letting the evaluator share work across them (trace reuse,
+      deduplication).  It must return one fitness per input individual,
+      aligned with the input order.  When both are registered, the
+      engine uses this one.
+
+    One more entry is optional:
+
     * ``repair(individual) -> Individual``: a deterministic projection
       applied to every individual the engine breeds (initial population
       and post-variation offspring), so crossover/mutation can never
@@ -36,9 +40,9 @@ class Toolbox:
       already valid.
     """
 
-    _REQUIRED = ("generate", "evaluate", "mate", "mutate", "select")
-    #: Optional entries the engine consults when present.
-    OPTIONAL = ("evaluate_batch", "repair")
+    _REQUIRED = ("generate", "mate", "mutate", "select")
+    #: At least one of these must be registered.
+    _EVALUATION = ("evaluate", "evaluate_batch")
 
     def __init__(self) -> None:
         self._registry: dict[str, Callable[..., Any]] = {}
@@ -71,6 +75,8 @@ class Toolbox:
     def validate(self) -> None:
         """Check that the operators the engine calls are all present."""
         missing = [n for n in self._REQUIRED if n not in self._registry]
+        if not any(n in self._registry for n in self._EVALUATION):
+            missing.append(" or ".join(self._EVALUATION))
         if missing:
             raise ValueError(f"toolbox is missing required entries: {missing}")
 

@@ -17,10 +17,7 @@ from .metrics import (
     Gauge,
     MetricsRegistry,
     Timer,
-    fastpath_line,
     guardrails_line,
-    resilience_line,
-    snapshot_degraded,
 )
 from .profiling import (
     Profiler,
@@ -54,10 +51,7 @@ __all__ = [
     "Gauge",
     "Timer",
     "MetricsRegistry",
-    "fastpath_line",
-    "resilience_line",
     "guardrails_line",
-    "snapshot_degraded",
     "Profiler",
     "SpanStats",
     "activate",

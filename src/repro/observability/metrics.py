@@ -1,15 +1,16 @@
 """The metrics registry: one queryable surface for run counters.
 
-Before this module, run accounting was scattered across
-:class:`~repro.iostack.evalcache.EvaluationStats` (fastpath counters on
-the result), :class:`~repro.iostack.evalcache.CacheStats` (live cache
-counters), :class:`~repro.tuners.resilience.ResilienceStats` and the
-guardrail trip list -- each with its own ad-hoc ``describe`` string.
-:class:`MetricsRegistry` absorbs them into named counters, gauges and
-timers with a single :meth:`~MetricsRegistry.snapshot`; the CLI summary
-lines (``fastpath:`` / ``resilience:`` / ``guardrails:``) are rendered
-*from the snapshot* by :func:`fastpath_line` and friends, so
-``tunio-tune`` and ``tunio-report`` can never drift apart.
+:class:`MetricsRegistry` gathers a run's
+:class:`~repro.iostack.evalcache.EvaluationStats`, the live cache's
+:class:`~repro.iostack.evalcache.CacheStats`, the guardrail trips and
+the profiler's spans into named counters, gauges and timers with a
+single JSON-ready :meth:`~MetricsRegistry.snapshot`.  The CLI builds one
+for ``tunio-tune --metrics-out`` and ``tunio-report --json``.  The
+``fastpath:`` and ``resilience:`` summary lines are rendered from the
+stats themselves (:meth:`EvaluationStats.describe` and
+:meth:`EvaluationStats.describe_resilience`), and the ``guardrails:``
+line by :func:`guardrails_line` here, so ``tunio-tune`` and
+``tunio-report`` print them from one renderer each.
 
 Everything here is passive arithmetic on already-collected numbers:
 building a registry cannot perturb a run.
@@ -18,17 +19,14 @@ building a registry cannot perturb a run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 __all__ = [
     "Counter",
     "Gauge",
     "Timer",
     "MetricsRegistry",
-    "fastpath_line",
-    "resilience_line",
     "guardrails_line",
-    "snapshot_degraded",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -202,44 +200,7 @@ class MetricsRegistry:
         return registry
 
 
-# -- summary lines (shared by tunio-tune and tunio-report) -------------------------
-
-
-def _counters(snapshot: Mapping[str, Any]) -> Mapping[str, int]:
-    return snapshot.get("counters", {})
-
-
-def fastpath_line(snapshot: Mapping[str, Any]) -> str:
-    """The ``fastpath:`` summary body, rendered from a registry
-    snapshot (same text :meth:`EvaluationStats.describe` produced)."""
-    c = _counters(snapshot)
-    hits = int(c.get("cache.hits", 0))
-    misses = int(c.get("cache.misses", 0))
-    lookups = hits + misses
-    rate = hits / lookups if lookups else 0.0
-    line = (
-        f"{int(c.get('evaluations', 0))} evaluations, "
-        f"cache hit rate {100.0 * rate:.1f}% "
-        f"({hits}/{lookups}), "
-        f"trace reuse {int(c.get('trace.reuse', 0))}"
-    )
-    disk_hits = int(c.get("cache.disk_hits", 0))
-    disk_lookups = disk_hits + int(c.get("cache.disk_misses", 0))
-    disk_stores = int(c.get("cache.disk_stores", 0))
-    if disk_lookups or disk_stores:
-        line += f", disk {disk_hits}/{disk_lookups} hits ({disk_stores} stored)"
-    return line
-
-
-def resilience_line(snapshot: Mapping[str, Any]) -> str:
-    """The ``resilience:`` summary body."""
-    c = _counters(snapshot)
-    return (
-        f"{int(c.get('faults.injected', 0))} faults injected, "
-        f"{int(c.get('resilience.retries', 0))} retries, "
-        f"{int(c.get('resilience.timeouts', 0))} timeouts, "
-        f"{int(c.get('resilience.quarantined', 0))} quarantined"
-    )
+# -- the guardrails summary line (shared by tunio-tune and tunio-report) ----------
 
 
 def guardrails_line(trips: Iterable[str]) -> str:
@@ -251,16 +212,4 @@ def guardrails_line(trips: Iterable[str]) -> str:
     return (
         f"{len(trips)} trip(s), degraded to plain-GA behaviour: "
         + "; ".join(shown)
-    )
-
-
-def snapshot_degraded(snapshot: Mapping[str, Any]) -> bool:
-    """True when any resilience machinery engaged (mirrors
-    :attr:`EvaluationStats.degraded`)."""
-    c = _counters(snapshot)
-    return bool(
-        c.get("resilience.retries", 0)
-        or c.get("resilience.timeouts", 0)
-        or c.get("resilience.quarantined", 0)
-        or c.get("faults.injected", 0)
     )

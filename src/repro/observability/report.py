@@ -14,8 +14,8 @@ events for the same iteration are resolved to the last one emitted.
 
 This module is also the single source of truth for the run-summary line
 formats: ``tunio-tune`` imports :func:`baseline_line`,
-:func:`iteration_line` and :func:`final_line` from here, so the live CLI
-and the offline report cannot drift apart.
+:func:`iteration_line`, :func:`final_line` and :func:`stats_lines` from
+here, so the live CLI and the offline report cannot drift apart.
 
 Exit codes: 0 success, 1 incomplete trace (no ``run_end``), 2 missing or
 invalid trace file.
@@ -33,19 +33,14 @@ from typing import Any, Iterable, Mapping
 from repro.iostack.evalcache import EvaluationStats
 from repro.tuners.base import IterationRecord, TuningResult
 
-from .metrics import (
-    MetricsRegistry,
-    fastpath_line,
-    guardrails_line,
-    resilience_line,
-    snapshot_degraded,
-)
+from .metrics import MetricsRegistry, guardrails_line
 from .recorder import read_trace
 
 __all__ = [
     "baseline_line",
     "iteration_line",
     "final_line",
+    "stats_lines",
     "reconstruct_result",
     "render_report",
     "main",
@@ -75,6 +70,20 @@ def final_line(result: TuningResult) -> str:
         f"in {result.total_minutes:.1f} simulated minutes "
         f"({result.total_evaluations} evaluations, {result.stop_reason})"
     )
+
+
+def stats_lines(result: TuningResult) -> list[str]:
+    """The ``fastpath:``, ``resilience:`` (only when failure handling
+    engaged) and ``guardrails:`` lines."""
+    lines = []
+    stats = result.eval_stats
+    if stats is not None:
+        lines.append(f"fastpath: {stats.describe()}")
+        if stats.degraded:
+            lines.append(f"resilience: {stats.describe_resilience()}")
+    if result.guardrail_trips:
+        lines.append(f"guardrails: {guardrails_line(result.guardrail_trips)}")
+    return lines
 
 
 # -- reconstruction ----------------------------------------------------------------
@@ -183,14 +192,7 @@ def render_report(events: list[Mapping[str, Any]], source: str) -> str:
     )
     lines.append("")
     lines.append(final_line(result))
-    if result.eval_stats is not None:
-        registry = MetricsRegistry.from_run(result)
-        snapshot = registry.snapshot()
-        lines.append(f"fastpath: {fastpath_line(snapshot)}")
-        if snapshot_degraded(snapshot):
-            lines.append(f"resilience: {resilience_line(snapshot)}")
-    if result.guardrail_trips:
-        lines.append(f"guardrails: {guardrails_line(result.guardrail_trips)}")
+    lines.extend(stats_lines(result))
     lines.append("")
     lines.extend(_roti_section(result))
     return "\n".join(lines)
@@ -198,7 +200,6 @@ def render_report(events: list[Mapping[str, Any]], source: str) -> str:
 
 def _json_payload(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     result = reconstruct_result(events)
-    registry = MetricsRegistry.from_run(result)
     return {
         "workload": result.workload_name,
         "tuner": result.tuner_name,
@@ -210,7 +211,7 @@ def _json_payload(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         "total_evaluations": result.total_evaluations,
         "guardrail_trips": list(result.guardrail_trips),
         "history": [dataclasses.asdict(record) for record in result.history],
-        "metrics": registry.snapshot(),
+        "metrics": MetricsRegistry.from_run(result).snapshot(),
     }
 
 

@@ -18,13 +18,13 @@ Evaluations ride the simulator's trace/replay fastpath and, when a
 :class:`~repro.iostack.evalcache.EvaluationCache` is attached, re-visited
 configurations (elites re-drawn by crossover, duplicate genomes, the
 default baseline) skip the stack traversal entirely.  Each generation is
-additionally dispatched as one batch: noise factors are pre-drawn in
-population order, traces are built once per distinct genome, then every
-individual replays its own factor slice.  All of this is bit-identical
-to the naive per-individual, per-repeat loop -- same fitnesses, same
-noise-stream consumption, same clock charges -- the fastpath only
-removes redundant deterministic work.  :attr:`TuningResult.eval_stats` records what was
-saved.
+dispatched as one batch through the toolbox's ``evaluate_batch`` entry:
+noise factors are pre-drawn in population order, traces are built once
+per distinct genome, then every individual replays its own factor slice.
+When nothing fails, this is bit-identical to the naive per-individual,
+per-repeat loop -- same fitnesses, same noise-stream consumption, same
+clock charges -- the fastpath only removes redundant deterministic work.
+:attr:`TuningResult.eval_stats` records what was saved.
 
 Resilience
 ----------
@@ -49,6 +49,7 @@ bit-identically (see :mod:`repro.tuners.journal`).
 from __future__ import annotations
 
 import warnings
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,12 +111,10 @@ class HSTuner(Tuner):
         Seeded generator for reproducibility.
     cache:
         Optional evaluation cache; repeat configurations reuse their
-        stored trace (results stay bit-identical, the simulated clock is
-        still charged on hits).
-    batch_evaluation:
-        Dispatch each generation through the toolbox's ``evaluate_batch``
-        entry (deduplicates traces within the generation); results are
-        bit-identical to per-individual evaluation.
+        stored trace and the simulated clock is still charged on hits.
+        Without transient faults, results are bit-identical with the
+        cache on or off.  Under a fault plan they are not: a hit skips
+        a trace attempt and so also skips that attempt's fault draw.
     retry_policy:
         How evaluation failures are retried/timed-out/quarantined; see
         :class:`~repro.tuners.resilience.RetryPolicy`.  The default
@@ -158,7 +157,6 @@ class HSTuner(Tuner):
         mutation_probability: float = 0.12,
         rng: np.random.Generator | None = None,
         cache: EvaluationCache | None = None,
-        batch_evaluation: bool = True,
         retry_policy: RetryPolicy | None = None,
         constraints: ConstraintRegistry | None = None,
         seed_config: StackConfiguration | None = None,
@@ -182,7 +180,6 @@ class HSTuner(Tuner):
         self.mutation_probability = mutation_probability
         self.rng = rng if rng is not None else np.random.default_rng()
         self.cache = cache
-        self.batch_evaluation = batch_evaluation
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.constraints = constraints
         self.seed_config = seed_config
@@ -309,41 +306,27 @@ class HSTuner(Tuner):
         result.baseline_perf = self._baseline_perf(workload)
 
         generation_evals: list[float] = []
-
-        def evaluate(ind: Individual) -> float:
-            self._dispatch_log.append([int(i) for i in ind.genome])
-            record = self._replay_record
-            if record is not None:
-                perf = self._replay_perf(record)
-            else:
-                config = StackConfiguration.from_genome(self.space, ind.genome)
-                perf = self._evaluate_config(workload, config, charge=True)
-            generation_evals.append(perf)
-            if recorder.enabled:
-                recorder.emit(
-                    "evaluation",
-                    iteration=self._trace_iteration,
-                    genome=[int(i) for i in ind.genome],
-                    perf=perf,
-                    replayed=record is not None,
-                )
-            return perf
+        # The toolbox entries reach the tuner through a weak proxy: the
+        # engine (and so the toolbox) is kept on the tuner for resume(),
+        # and a strong reference back would make every finished tuner,
+        # with its cache, wait for the cyclic garbage collector.
+        tuner = weakref.proxy(self)
 
         def evaluate_batch(individuals: Sequence[Individual]) -> list[float]:
-            self._dispatch_log.extend(
+            tuner._dispatch_log.extend(
                 [int(i) for i in ind.genome] for ind in individuals
             )
-            record = self._replay_record
+            record = tuner._replay_record
             if record is not None:
-                perfs = [self._replay_perf(record) for _ in individuals]
+                perfs = [tuner._replay_perf(record) for _ in individuals]
             else:
-                perfs = self._evaluate_generation(workload, individuals)
+                perfs = tuner._evaluate_generation(workload, individuals)
             generation_evals.extend(perfs)
             if recorder.enabled:
                 for ind, perf in zip(individuals, perfs):
                     recorder.emit(
                         "evaluation",
-                        iteration=self._trace_iteration,
+                        iteration=tuner._trace_iteration,
                         genome=[int(i) for i in ind.genome],
                         perf=perf,
                         replayed=record is not None,
@@ -357,13 +340,13 @@ class HSTuner(Tuner):
             # (Uniform-random seeding would start the search deep inside
             # the space and skip the climb the paper's tuning curves
             # show.)
-            if self.seed_config is not None:
-                seed = Individual(self.seed_config.genome())
+            if tuner.seed_config is not None:
+                seed = Individual(tuner.seed_config.genome())
             else:
-                seed = Individual(self.space.encode(self.space.default_values()))
+                seed = Individual(tuner.space.encode(tuner.space.default_values()))
             population = [seed]
             while len(population) < n:
-                population.append(self._perturbed(seed, rng))
+                population.append(tuner._perturbed(seed, rng))
             return population
 
         def mutate(ind: Individual, rng: np.random.Generator) -> Individual:
@@ -373,23 +356,21 @@ class HSTuner(Tuner):
             # active subset: the expected number of mutated genes per
             # child stays constant however narrow the mask is -- which is
             # exactly why a small high-impact subset converges faster.
-            active = self._active_subset_size or len(self.space)
-            rate = min(0.6, self.mutation_probability * len(self.space) / active)
+            active = tuner._active_subset_size or len(tuner.space)
+            rate = min(0.6, tuner.mutation_probability * len(tuner.space) / active)
             return uniform_reset_mutation(
                 ind,
                 rng,
-                cardinalities=self.space.cardinalities,
+                cardinalities=tuner.space.cardinalities,
                 per_gene_probability=rate,
             )
 
         toolbox = Toolbox()
         toolbox.register("generate", generate)
-        toolbox.register("evaluate", evaluate)
+        toolbox.register("evaluate_batch", evaluate_batch)
         toolbox.register("select", tournament_pair)
         toolbox.register("mate", uniform_crossover)
         toolbox.register("mutate", mutate)
-        if self.batch_evaluation:
-            toolbox.register("evaluate_batch", evaluate_batch)
         if self.constraints is not None:
             toolbox.register("repair", repair_individual, registry=self.constraints)
 
@@ -550,9 +531,13 @@ class HSTuner(Tuner):
             self._n_evaluations = record.n_evaluations
             self._restore_fastpath_window(record.fastpath)
         else:
-            perf = self._evaluate_config(
-                workload, StackConfiguration.default(self.space), charge=False
+            perf = self._resilient.evaluate_config(
+                workload,
+                StackConfiguration.default(self.space),
+                repeats=self.repeats,
+                charge=False,
             )
+            self._n_evaluations += 1
         if self.recorder.enabled:
             self.recorder.emit("baseline", perf=perf, replayed=record is not None)
         if self._journal_writer is not None:
@@ -708,19 +693,6 @@ class HSTuner(Tuner):
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _evaluate_config(
-        self, workload: WorkloadLike, config: StackConfiguration, charge: bool
-    ) -> float:
-        perf = self._resilient.evaluate_config(
-            workload, config, repeats=self.repeats, charge=charge
-        )
-        # Note on charging: a success is charged one run's duration (on
-        # cache hits too -- a hit saves simulation work on our side, not
-        # testbed time on the simulated cluster); failed attempts charge
-        # their launch + backoff inside the resilient evaluator.
-        self._n_evaluations += 1
-        return perf
-
     def _evaluate_generation(
         self, workload: WorkloadLike, individuals: Sequence[Individual]
     ) -> list[float]:
@@ -730,9 +702,11 @@ class HSTuner(Tuner):
         Noise factors are pre-drawn in population order (so the noise
         stream advances exactly as the sequential path would), traces
         are built once per distinct genome, and each individual replays
-        its own factor slice and charges the clock.  Quarantined
-        configurations (``None`` traces) are served the worst-case
-        fitness; replay failures retry through the resilient harness.
+        its own factor slice and charges the clock (on cache hits too: a
+        hit saves simulation work, not simulated testbed time).
+        Quarantined configurations (``None`` traces) are served the
+        worst-case fitness; replay failures retry through the resilient
+        harness.
         """
         configs = [
             StackConfiguration.from_genome(self.space, ind.genome)

@@ -247,6 +247,30 @@ def test_report_reconstructs_the_run_from_the_trace(tmp_path, capsys):
     assert "roti: peak" in report
 
 
+@pytest.mark.faults
+@pytest.mark.observability
+def test_report_matches_the_stats_lines_of_a_faulted_run(tmp_path, capsys):
+    """Under a fault plan tunio-tune prints a ``resilience:`` line after
+    ``fastpath:``; tunio-report rebuilds both from the trace alone."""
+    from repro.observability.report import main as report_main
+
+    trace = tmp_path / "run.jsonl"
+    assert main([
+        "ior", "--tuner", "hstuner", "--fault-rate", "0.4", "--seed", "3",
+        "--trace-out", str(trace),
+    ]) == 0
+    live = capsys.readouterr().out
+    assert report_main([str(trace)]) == 0
+    report = capsys.readouterr().out
+
+    def stats(text):
+        return [l for l in text.splitlines()
+                if l.startswith(("fastpath:", "resilience:"))]
+
+    assert [l.split(":")[0] for l in stats(live)] == ["fastpath", "resilience"]
+    assert stats(report) == stats(live)
+
+
 @pytest.mark.observability
 def test_report_rebuilds_a_trace_with_retired_counters(tmp_path, capsys):
     """Traces from older builds carry a ``fallbacks`` counter in their

@@ -66,3 +66,25 @@ def test_session_best_before_run_rejected(trained_bundle):
     session = TuningSession(tuner=HSTuner(sim), workload=make_workload())
     with pytest.raises(RuntimeError):
         _ = session.best_perf
+
+
+def test_finished_tunio_tuner_is_freed_without_the_cyclic_collector(trained_bundle):
+    import gc
+    import weakref
+
+    from repro.iostack import EvaluationCache
+
+    sim, normalizer, agents = trained_bundle
+    gc.disable()
+    try:
+        tuner = build_tunio(
+            sim, agents, normalizer, rng=np.random.default_rng(5),
+            cache=EvaluationCache(),
+        )
+        tuner.tune(flash(), max_iterations=4)
+        tuner_ref, cache_ref = weakref.ref(tuner), weakref.ref(tuner.cache)
+        del tuner
+        assert tuner_ref() is None
+        assert cache_ref() is None
+    finally:
+        gc.enable()

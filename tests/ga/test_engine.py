@@ -70,6 +70,24 @@ def test_toolbox_validate_reports_missing():
         tb.validate()
 
 
+def test_toolbox_validate_needs_one_evaluation_entry():
+    tb = make_toolbox()
+    tb.unregister("evaluate")
+    with pytest.raises(ValueError, match="evaluate or evaluate_batch"):
+        tb.validate()
+    with pytest.raises(ValueError, match="evaluate or evaluate_batch"):
+        EvolutionEngine(tb, population_size=4)
+    tb.register(
+        "evaluate_batch",
+        lambda individuals: [float(ind.genome.sum()) for ind in individuals],
+    )
+    tb.validate()
+    engine = EvolutionEngine(tb, population_size=4, rng=np.random.default_rng(0))
+    stats = engine.run(3)
+    assert [s.evaluations for s in stats] == [4, 3, 3]
+    assert all(ind.evaluated for ind in engine.population)
+
+
 # -- Engine ---------------------------------------------------------------------
 
 
@@ -207,15 +225,6 @@ def test_batch_length_mismatch_rejected():
 # -- duplicate handling ---------------------------------------------------------
 
 
-def test_duplicate_groups_first_seen_order():
-    a = Individual(np.array([1, 2, 3]))
-    b = Individual(np.array([4, 5, 6]))
-    a2 = Individual(np.array([1, 2, 3]))
-    groups = EvolutionEngine.duplicate_groups([a, b, a2, b])
-    assert groups == [[0, 2], [1, 3]]
-    assert EvolutionEngine.duplicate_groups([]) == []
-
-
 def make_duplicate_engine(calls, seed=0):
     """All six generation-0 individuals share one genome."""
     toolbox = make_toolbox()
@@ -242,10 +251,3 @@ def test_every_duplicate_genome_is_evaluated():
     stats = engine.step()
     assert len(calls) == 6
     assert stats.evaluations == 6
-    assert stats.distinct_genomes == 1
-
-
-def test_distinct_genomes_recorded_per_generation():
-    engine = make_engine()
-    stats = engine.step()
-    assert 1 <= stats.distinct_genomes <= stats.evaluations

@@ -1,4 +1,4 @@
-"""The metrics registry and the shared summary-line formatters."""
+"""The metrics registry and the shared summary-line renderers."""
 
 import pytest
 
@@ -8,12 +8,10 @@ from repro.observability.metrics import (
     Gauge,
     MetricsRegistry,
     Timer,
-    fastpath_line,
     guardrails_line,
-    resilience_line,
-    snapshot_degraded,
 )
 from repro.observability.profiling import Profiler
+from repro.observability.report import stats_lines
 from repro.tuners.base import IterationRecord, TuningResult
 
 pytestmark = pytest.mark.observability
@@ -88,22 +86,39 @@ def test_ingest_eval_stats_maps_every_counter():
 
 
 def test_fastpath_line_matches_describe():
+    """Both CLIs print the ``fastpath:`` line from the run's stats, and
+    its numbers are the ones the metrics snapshot carries."""
     for stats in (make_stats(), EvaluationStats(), make_stats(cache_hits=0)):
-        reg = MetricsRegistry()
-        reg.ingest_eval_stats(stats)
-        assert fastpath_line(reg.snapshot()) == stats.describe()
+        result = make_result()
+        result.eval_stats = stats
+        line = stats.describe()
+        assert stats_lines(result) == [f"fastpath: {line}"]
+        c = MetricsRegistry.from_run(result).snapshot()["counters"]
+        lookups = c["cache.hits"] + c["cache.misses"]
+        assert line.startswith(f"{c['evaluations']} evaluations, ")
+        assert f"({c['cache.hits']}/{lookups})" in line
+        assert line.endswith(f"trace reuse {c['trace.reuse']}")
 
 
 def test_resilience_line_matches_describe_resilience():
+    """The ``resilience:`` line follows the fastpath line only when
+    failure handling engaged, with the snapshot's numbers."""
     stats = make_stats(retries=3, timeouts=1, quarantined=2, faults_injected=4)
-    reg = MetricsRegistry()
-    reg.ingest_eval_stats(stats)
-    snapshot = reg.snapshot()
-    assert resilience_line(snapshot) == stats.describe_resilience()
-    assert snapshot_degraded(snapshot) is True
-    clean = MetricsRegistry()
-    clean.ingest_eval_stats(make_stats())
-    assert snapshot_degraded(clean.snapshot()) is False
+    result = make_result()
+    result.eval_stats = stats
+    assert stats_lines(result) == [
+        f"fastpath: {stats.describe()}",
+        f"resilience: {stats.describe_resilience()}",
+    ]
+    c = MetricsRegistry.from_run(result).snapshot()["counters"]
+    assert stats.describe_resilience() == (
+        f"{c['faults.injected']} faults injected, "
+        f"{c['resilience.retries']} retries, "
+        f"{c['resilience.timeouts']} timeouts, "
+        f"{c['resilience.quarantined']} quarantined"
+    )
+    result.eval_stats = make_stats()
+    assert stats_lines(result) == [f"fastpath: {result.eval_stats.describe()}"]
 
 
 def test_guardrails_line_counts_before_dedup():

@@ -186,3 +186,26 @@ def test_stats_window_resets_between_tunes(sim):
     )
     # the second run starts from the same default baseline: cache hit
     assert second.eval_stats.cache_hits >= 1
+
+
+def test_finished_tuner_is_freed_without_the_cyclic_collector(sim):
+    """Nothing a tuner hands its GA engine refers back to it, so with
+    the cyclic collector off a finished (and resumed) tuner and its cache
+    go when the last reference does."""
+    import gc
+    import weakref
+
+    from repro.iostack import EvaluationCache
+
+    gc.disable()
+    try:
+        tuner = small_tuner(sim, cache=EvaluationCache())
+        result = tuner.tune(make_workload(), max_iterations=3)
+        tuner.resume(2)
+        assert len(result.history) == 5
+        tuner_ref, cache_ref = weakref.ref(tuner), weakref.ref(tuner.cache)
+        del tuner
+        assert tuner_ref() is None
+        assert cache_ref() is None
+    finally:
+        gc.enable()
